@@ -20,8 +20,8 @@ using namespace essent;
 namespace {
 
 double runCcss(const sim::SimIR& ir, const core::CondPartSchedule& sched,
-               const workloads::Program& prog, unsigned threads, double* effAct = nullptr) {
-  auto eng = bench::makeCcssEngine(ir, sched, threads);
+               const workloads::Program& prog, double* effAct = nullptr) {
+  auto eng = bench::makeActivityEngine(ir, sched);
   auto r = bench::timeEngine(*eng, prog);
   if (effAct) *effAct = eng->effectiveActivity();
   return r.seconds;
@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
     core::ScheduleOptions offOpts;
     offOpts.stateElision = false;
     auto off = core::buildSchedule(nlOpt, offOpts);
-    double tOn = runCcss(d.optimized, on, prog, report.env().threads);
-    double tOff = runCcss(d.optimized, off, prog, report.env().threads);
+    double tOn = runCcss(d.optimized, on, prog);
+    double tOff = runCcss(d.optimized, off, prog);
     std::printf("A. state-element update elision (elided regs %zu -> %zu):\n",
                 on.elidedRegs, off.elidedRegs);
     std::printf("   with elision %.3fs, without %.3fs  (%.2fx from elision)\n\n", tOn, tOff,
@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
   {
     auto schedOpt = core::buildSchedule(nlOpt, core::ScheduleOptions{});
     auto schedRaw = core::buildSchedule(nlRaw, core::ScheduleOptions{});
-    double tOpt = runCcss(d.optimized, schedOpt, prog, report.env().threads);
-    double tRaw = runCcss(d.baseline, schedRaw, prog, report.env().threads);
+    double tOpt = runCcss(d.optimized, schedOpt, prog);
+    double tRaw = runCcss(d.baseline, schedRaw, prog);
     std::printf("B. classic compiler optimizations (constprop/CSE/DCE) under CCSS:\n");
     std::printf("   optimized IR %.3fs (%zu ops), raw IR %.3fs (%zu ops)  (%.2fx)\n\n", tOpt,
                 d.optimized.ops.size(), tRaw, d.baseline.ops.size(), tRaw / tOpt);
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       auto parts = core::partitionNetlist(nlOpt, po);
       auto sched = core::buildScheduleFrom(nlOpt, parts, true);
       double effAct = 0;
-      double t = runCcss(d.optimized, sched, prog, report.env().threads, &effAct);
+      double t = runCcss(d.optimized, sched, prog, &effAct);
       std::printf("   %-26s %10zu %10lld %10.3f %9.4f\n", pc.name, parts.numPartitions(),
                   static_cast<long long>(parts.stats.cutEdges), t, effAct);
       std::fflush(stdout);
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
       };
       sim::FullCycleEngine fc(sim::CompiledDesign::compile(banks));
       sim::EventDrivenEngine ev(sim::CompiledDesign::compile(banks));
-      auto act = bench::makeCcssEngine(banks, schedB, report.env().threads);
+      auto act = bench::makeActivityEngine(banks, schedB);
       double tFc = sim::runEngine(fc, 20000, stim).seconds;
       double tEv = sim::runEngine(ev, 20000, stim).seconds;
       double tAc = sim::runEngine(*act, 20000, stim).seconds;

@@ -158,7 +158,7 @@ int main() {
 
   // Interpreter reference for scale.
   {
-    auto eng = bench::makeCcssEngine(ir, sched, bench::BenchEnv::fromEnv().threads);
+    auto eng = bench::makeActivityEngine(ir, sched);
     auto r = bench::timeEngine(*eng, prog);
     std::printf("%-26s %12s %10.4f %12.1f\n", "interpreted CCSS", "-", r.seconds,
                 static_cast<double>(r.cycles) / r.seconds / 1e3);

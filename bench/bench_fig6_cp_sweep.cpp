@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       double best = 1e30;
       uint32_t bestCp = 0;
       for (size_t i = 0; i < schedules.size(); i++) {
-        auto eng = bench::makeCcssEngine(d.optimized, schedules[i], report.env().threads);
+        auto eng = bench::makeActivityEngine(d.optimized, schedules[i]);
         auto r = bench::timeEngine(*eng, prog);
         std::printf(" %8.3f", r.seconds);
         if (r.seconds < best) {

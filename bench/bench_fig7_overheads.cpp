@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     core::PartitionOptions po;
     po.smallThreshold = cp;
     auto sched = core::buildScheduleFrom(nl, core::partitionNetlist(nl, po), true);
-    auto eng = bench::makeCcssEngine(d.optimized, sched, report.env().threads);
+    auto eng = bench::makeActivityEngine(d.optimized, sched);
     auto r = bench::timeEngine(*eng, prog);
     double effAct = eng->effectiveActivity();
     const auto& st = r.stats;

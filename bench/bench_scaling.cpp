@@ -22,10 +22,8 @@ double seconds(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::BenchEnv env = bench::BenchEnv::fromEnv(argc, argv);
-  std::printf("Scaling sweep — systolic arrays (extension; not a paper exhibit; threads=%u)\n",
-              env.threads);
+int main() {
+  std::printf("Scaling sweep — systolic arrays (extension; not a paper exhibit)\n");
   std::printf("%6s %8s %8s %10s %10s %12s %12s %12s\n", "grid", "nodes", "parts", "build(s)",
               "part(s)", "full us/cyc", "ccss-busy", "ccss-idle");
   bench::printRule(88);
@@ -58,8 +56,8 @@ int main(int argc, char** argv) {
     };
 
     sim::FullCycleEngine fc(sim::CompiledDesign::compile(ir));
-    auto busyEng = bench::makeCcssEngine(ir, core::ScheduleOptions{}, env.threads);
-    auto idleEng = bench::makeCcssEngine(ir, core::ScheduleOptions{}, env.threads);
+    auto busyEng = bench::makeActivityEngine(ir, core::ScheduleOptions{});
+    auto idleEng = bench::makeActivityEngine(ir, core::ScheduleOptions{});
     double fullUs = perCycle(fc, true, 3000);
     double busyUs = perCycle(*busyEng, true, 3000);
     double idleUs = perCycle(*idleEng, false, 3000);

@@ -12,12 +12,12 @@
 //   boom matmul            431.67           109.70           161.17         59.85  (2.69x)
 //   boom pchase           5529.25          1650.41          2534.32        746.69  (3.39x)
 //
-// Substitutions (see DESIGN.md): CommVer* is our levelized event-driven
+// Substitutions (see DESIGN.md): CommVer* is our level-ordered event-driven
 // engine, Verilator* the optimized full-cycle engine, Baseline the same
 // full-cycle engine on the unoptimized IR, ESSENT the CCSS activity engine.
 // Absolute times are not comparable (interpreted substrate, scaled-down
 // workloads); the reproduced shape is ESSENT's speedup over Baseline /
-// Verilator*. Note on CommVer*: a levelized-compiled event-driven engine is
+// Verilator*. Note on CommVer*: a level-ordered compiled event-driven engine is
 // far leaner than a commercial interpreted simulator, so unlike the paper
 // it is not the slowest column here — EXPERIMENTS.md discusses this.
 #include "bench_util.h"
@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
       sim::EventDrivenEngine commver(sim::CompiledDesign::compile(d.optimized));
       sim::FullCycleEngine verilator(sim::CompiledDesign::compile(d.optimized));
       sim::FullCycleEngine baseline(sim::CompiledDesign::compile(d.baseline));
-      auto essentEng = bench::makeCcssEngine(d.optimized, core::ScheduleOptions{},
-                                             report.env().threads);
+      auto essentEng = bench::makeActivityEngine(d.optimized, core::ScheduleOptions{});
 
       auto rCv = bench::timeEngine(commver, prog);
       auto rVl = bench::timeEngine(verilator, prog);

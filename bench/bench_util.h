@@ -6,7 +6,7 @@
 //    iteration counts scaled down so every bench binary completes in
 //    seconds rather than the paper's minutes-to-hours (the relative cycle
 //    ratios are preserved);
-//  * simulators — CommVer* (levelized event-driven stand-in), Verilator*
+//  * simulators — CommVer* (level-ordered event-driven stand-in), Verilator*
 //    (optimized full-cycle stand-in), Baseline (ESSENT flow with all
 //    optimizations disabled), ESSENT (CCSS engine, all optimizations).
 #pragma once
@@ -24,13 +24,13 @@
 
 #include "core/activity_engine.h"
 #include "core/obs_export.h"
-#include "core/parallel_engine.h"
 #include "designs/tinysoc.h"
 #include "obs/json.h"
 #include "obs/phase_timer.h"
 #include "sim/compile.h"
 #include "sim/event_driven.h"
 #include "sim/full_cycle.h"
+#include "support/threadpool.h"
 #include "workloads/driver.h"
 #include "workloads/programs.h"
 
@@ -39,21 +39,18 @@ namespace essent::bench {
 // Measurement knobs honored uniformly by every bench binary, so scaling
 // runs are reproducible from the environment alone:
 //   ESSENT_BENCH_REPS  (or --reps N)    interleaved A/B repetitions
-//   ESSENT_THREADS     (or --threads N) worker threads for CCSS engines
+//   ESSENT_THREADS     (or --threads N) SimFarm worker count (default:
+//                                       hardware concurrency)
 // Both are recorded in the JSON artifact header (JsonReporter meta).
 struct BenchEnv {
   unsigned reps = 3;
-  unsigned threads = 1;
+  unsigned threads = support::ThreadPool::defaultThreadCount();
 
   static BenchEnv fromEnv(int argc = 0, char** argv = nullptr) {
     BenchEnv env;
     if (const char* e = std::getenv("ESSENT_BENCH_REPS")) {
       long v = std::strtol(e, nullptr, 10);
       if (v >= 1) env.reps = static_cast<unsigned>(v);
-    }
-    if (const char* e = std::getenv("ESSENT_THREADS")) {
-      long v = std::strtol(e, nullptr, 10);
-      if (v >= 1) env.threads = static_cast<unsigned>(v);
     }
     for (int i = 1; i < argc; i++) {
       std::string arg = argv[i];
@@ -72,29 +69,18 @@ struct BenchEnv {
   }
 };
 
-// CCSS engine honoring the thread knob: the serial ActivityEngine at 1
-// thread (the untouched hot path), the statically-placed BSP engine above —
-// through the degradation-aware core factory, so a request beyond the host's
-// concurrency or the placement's useful width is clamped rather than timed
-// as if it had real lanes. Degradations land in `warnings` (when non-null);
-// benches record the post-degradation engine->threadCount() per row so
-// artifacts from narrow hosts are honest about what actually ran. Both
-// paths go through the shared compiled structure (CompiledCcss), matching
-// how sim::makeEngine and core::SimFarm construct engines.
-inline std::unique_ptr<core::ActivityEngine> makeCcssEngine(
-    const sim::SimIR& ir, const core::ScheduleOptions& opts, unsigned threads,
-    std::vector<std::string>* warnings = nullptr) {
-  auto cc = core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), opts);
-  if (threads <= 1) return std::make_unique<core::ActivityEngine>(std::move(cc));
-  return core::makeCcssEngine(std::move(cc), threads, warnings);
+// The CCSS engine over a private compiled design, from schedule options or
+// from a prebuilt schedule (the C_p sweeps and ablations build their own).
+inline std::unique_ptr<core::ActivityEngine> makeActivityEngine(
+    const sim::SimIR& ir, const core::ScheduleOptions& opts) {
+  return std::make_unique<core::ActivityEngine>(
+      core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), opts));
 }
 
-inline std::unique_ptr<core::ActivityEngine> makeCcssEngine(
-    const sim::SimIR& ir, core::CondPartSchedule schedule, unsigned threads,
-    std::vector<std::string>* warnings = nullptr) {
-  auto cc = core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), std::move(schedule));
-  if (threads <= 1) return std::make_unique<core::ActivityEngine>(std::move(cc));
-  return core::makeCcssEngine(std::move(cc), threads, warnings);
+inline std::unique_ptr<core::ActivityEngine> makeActivityEngine(
+    const sim::SimIR& ir, core::CondPartSchedule schedule) {
+  return std::make_unique<core::ActivityEngine>(
+      core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), std::move(schedule)));
 }
 
 // Interleaved A/B(/C/...) repetition timing: candidates run round-robin
@@ -189,9 +175,7 @@ class JsonReporter {
     doc_["meta"] = obs::Json::object();
     // Pinning knobs in the header makes every artifact reproducible from
     // its own contents (reps/threads + the env they came from), and
-    // hardware_concurrency makes degraded multi-thread rows interpretable:
-    // a 1-core container clamps every parallel engine to serial, and the
-    // artifact must say so rather than present fake scaling.
+    // hardware_concurrency says how many cores the farm workers had.
     doc_["meta"]["reps"] = env_.reps;
     doc_["meta"]["threads"] = env_.threads;
     doc_["meta"]["hardware_concurrency"] = std::thread::hardware_concurrency();

@@ -141,7 +141,8 @@ void ActivityEngine::applyMemWrite(const SchedMemWrite& mw) {
   if (changed) wake(mw.wakeParts);
 }
 
-void ActivityEngine::runPartition(size_t pos, const CondPart& part) {
+// 64-byte aligned, like tick(): see evalFastScalar in sim/op_eval.h.
+[[gnu::aligned(64)]] void ActivityEngine::runPartition(size_t pos, const CondPart& part) {
   obs::TraceSpan span("part", obs::TraceCat::None, obs::TraceDetail::Partition,
                       "part", pos);
   stats_.partitionActivations++;
@@ -243,7 +244,7 @@ void ActivityEngine::finishCycle() {
   stats_.cycles++;
 }
 
-void ActivityEngine::tick() {
+[[gnu::aligned(64)]] void ActivityEngine::tick() {
   // Busy on its own thread; None when nested inside a pool.work span (a
   // SimFarm worker already owns this interval's attribution).
   obs::TraceSpan span("tick", obs::trace_detail::inPooledWork()

@@ -92,10 +92,6 @@ class ActivityEngine : public sim::Engine {
   void resetState() override;
   const char* name() const override { return "essent-ccss"; }
 
-  // Worker lanes used by the partition sweep (1 for the serial engine;
-  // ParallelActivityEngine overrides).
-  virtual unsigned threadCount() const { return 1; }
-
   const CondPartSchedule& schedule() const { return sched_; }
 
   // Fraction of ops evaluated over all cycles so far (Figure 7's
@@ -120,8 +116,7 @@ class ActivityEngine : public sim::Engine {
     firstCycle_ = true;
   }
 
-  // Shared with ParallelActivityEngine (which overrides only the partition
-  // sweep; phases 1, 3, and 4 of the tick stay sequential).
+ private:
   // Immutable structure (shared across instances) ...
   std::shared_ptr<const CompiledCcss> ccss_;
   const CondPartSchedule& sched_;              // = ccss_->body->sched

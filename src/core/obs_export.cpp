@@ -44,34 +44,6 @@ obs::Json scheduleSummaryJson(const CondPartSchedule& sched) {
   obs::Histogram sizes;
   for (const auto& part : sched.parts) sizes.record(part.ops.size());
   j["partition_size"] = sizes.toJson();
-  // Levelization shape: how much same-cycle parallelism the schedule
-  // exposes. critical_path is the number of level-synchronous waves;
-  // wave_width the histogram of partitions per wave.
-  j["levels"] = sched.numLevels();
-  j["critical_path"] = sched.numLevels();
-  j["max_wave_width"] = sched.maxWaveWidth();
-  obs::Histogram widths;
-  for (const auto& wave : sched.waves) widths.record(wave.size());
-  j["wave_width"] = widths.toJson();
-  return j;
-}
-
-obs::Json placementReportJson(const BspPlacement& placement) {
-  obs::Json j = obs::Json::object();
-  j["threads"] = placement.threads;
-  j["partitions"] = placement.threadOf.size();
-  j["super_steps"] = placement.numSteps();
-  j["levels"] = placement.levels;
-  j["total_edges"] = placement.totalEdges;
-  j["cross_edges"] = placement.crossEdges;
-  j["cut_frac"] = placement.totalEdges > 0
-                      ? static_cast<double>(placement.crossEdges) /
-                            static_cast<double>(placement.totalEdges)
-                      : 0.0;
-  j["load_imbalance"] = placement.loadImbalance;
-  obs::Json costs = obs::Json::array();
-  for (uint64_t c : placement.threadCost) costs.push(c);
-  j["thread_cost"] = std::move(costs);
   return j;
 }
 
@@ -94,7 +66,6 @@ obs::Json activityProfileJson(const ActivityEngine& engine) {
   obs::Json j = obs::Json::object();
   j["design"] = engine.ir().name;
   j["engine"] = engine.name();
-  j["threads"] = engine.threadCount();
   j["total_ops"] = engine.ir().ops.size();
   j["effective_activity"] = engine.effectiveActivity();
   j["stats"] = engineStatsJson(engine.stats());

@@ -10,7 +10,6 @@
 
 #include "core/activity_engine.h"
 #include "core/partitioner.h"
-#include "core/placement.h"
 #include "core/schedule.h"
 #include "core/sim_farm.h"
 #include "obs/json.h"
@@ -27,12 +26,6 @@ obs::Json partitionStatsJson(const PartitionStats& stats);
 // Schedule summary: partition count, elision counts, output count, plus a
 // partition-size histogram.
 obs::Json scheduleSummaryJson(const CondPartSchedule& sched);
-
-// Static BSP placement shape (the `placement` section of --stats-json and
-// the per-row placement column of bench_parallel_scaling): thread width,
-// super-step count vs the levelization depth it coarsened, cut-edge
-// fraction, and per-thread load balance.
-obs::Json placementReportJson(const BspPlacement& placement);
 
 // Runtime work counters, keyed by Figure 7's decomposition: base work
 // (ops_evaluated), static overhead (partition_checks), dynamic overhead

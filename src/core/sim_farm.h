@@ -94,8 +94,8 @@ struct FarmReport {
   uint64_t totalCycles = 0;   // sum over instances
   double instancesPerSec = 0.0;
   double aggregateCyclesPerSec = 0.0;  // totalCycles / wallSeconds
-  // Graceful-degradation messages from engine construction (thread
-  // clamping etc.), deduplicated across instances.
+  // Degradation messages from engine construction (W0601, e.g. the
+  // deprecated `par` kind), deduplicated across instances.
   std::vector<std::string> warnings;
   // Distribution of per-instance wall times (ns) across the batch —
   // p50/p99 here are the daemon-facing latency numbers (Open item 3).
@@ -120,9 +120,6 @@ struct FarmOptions {
   sim::EngineKind kind = sim::EngineKind::Ccss;
   // Per-instance engine options (schedule knobs, profiling). The warnings
   // pointer is ignored — degradation messages land in FarmReport::warnings.
-  // CcssPar instances each own a private wave pool of `engine.threads`
-  // lanes on top of the farm workers; that multiplies threads, so prefer
-  // serial kinds inside a farm unless instances outnumber cores by little.
   sim::EngineOptions engine;
   // Farm worker lanes (including the calling thread); 0 = the
   // support::ThreadPool::defaultThreadCount() heuristic ($ESSENT_THREADS,

@@ -88,7 +88,6 @@ CaseResult runFuzzCase(uint64_t caseSeed, const FuzzConfig& config, std::FILE* l
   if (!withCodegen)
     oo.engines.erase(std::remove(oo.engines.begin(), oo.engines.end(), EngineKind::Codegen),
                      oo.engines.end());
-  oo.parThreads = config.parThreads;
   oo.subprocessTimeoutMs = config.subprocessTimeoutMs;
 
   // Stimulus needs the built IR's input list; build errors are themselves
@@ -143,7 +142,6 @@ CaseResult replayCase(const std::string& fir, const Stimulus& stim,
   cr.stim = stim;
   OracleOptions oo;
   oo.engines = config.engines;
-  oo.parThreads = config.parThreads;
   oo.subprocessTimeoutMs = config.subprocessTimeoutMs;
   OracleResult result = runOracle(fir, stim, oo);
   cr.codegenChecked = hasKind(oo.engines, EngineKind::Codegen) && !result.codegenSkipped;

@@ -24,7 +24,6 @@ struct FuzzConfig {
   uint64_t budget = 100;       // number of cases
   uint64_t cycles = 80;        // stimulus length per case
   std::vector<EngineKind> engines = allEngineKinds();
-  unsigned parThreads = 2;
   // The compiled engine costs a host-compiler invocation per case, so only
   // every Nth case (seed-derived, deterministic) includes it; 0 disables.
   uint32_t codegenEvery = 10;

@@ -7,7 +7,6 @@
 
 #include "codegen/emitter.h"
 #include "core/activity_engine.h"
-#include "core/parallel_engine.h"
 #include "sim/builder.h"
 #include "sim/event_driven.h"
 #include "sim/full_cycle.h"
@@ -321,14 +320,6 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
   addEngine(EngineKind::FullCycle, refDesign);
   if (wants(EngineKind::EventDriven)) addEngine(EngineKind::EventDriven, optDesign);
   if (wants(EngineKind::Ccss)) addEngine(EngineKind::Ccss, optDesign);
-  if (wants(EngineKind::CcssPar)) {
-    // Deliberately NOT makeEngine: the oracle must exercise the real
-    // parallel sweep even on a single-core host, so it bypasses the
-    // factory's graceful hardware-concurrency clamping.
-    own.push_back(std::make_unique<core::ParallelActivityEngine>(
-        core::CompiledCcss::get(optDesign, so), std::max(2u, opts.parThreads)));
-    list.push_back({engineKindName(EngineKind::CcssPar), own.back().get()});
-  }
   if (wants(EngineKind::Lane)) {
     // Broadcast adapter over a multi-lane group: every lane computes the
     // same run through the SoA/SIMD path, so a divergence here pins a

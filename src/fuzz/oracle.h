@@ -1,4 +1,4 @@
-// Differential oracle: runs one circuit + stimulus through up to six
+// Differential oracle: runs one circuit + stimulus through up to five
 // execution paths and reports the first observable disagreement.
 //
 //   full    — FullCycleEngine on an UNOPTIMIZED SimIR (reference semantics;
@@ -6,7 +6,6 @@
 //             caught too, not just engine bugs);
 //   event   — EventDrivenEngine on the optimized SimIR;
 //   ccss    — ActivityEngine (conditional partition scheduling);
-//   par     — ParallelActivityEngine with 2+ worker threads;
 //   lane    — LaneBroadcastEngine: the SIMD instance-parallel LaneEngine
 //             with the same stimulus broadcast to every lane (lane 0 is
 //             compared; all lanes must agree by construction);
@@ -61,7 +60,6 @@ struct Divergence {
 
 struct OracleOptions {
   std::vector<EngineKind> engines = allEngineKinds();
-  unsigned parThreads = 2;
   // Lane count for the EngineKind::Lane oracle member (broadcast across
   // lanes; every lane runs the full SIMD path on the same stimulus). 8
   // fills one AVX-512 vector while keeping the arena small.

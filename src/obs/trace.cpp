@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
-#include <map>
 
 namespace essent::obs {
 
@@ -268,7 +266,6 @@ TraceSummary TraceSession::summary() const {
     for (const TraceEvent& ev : ts.events) last = std::max(last, ev.tsNs + ev.durNs);
     s.windowNs = std::max(s.windowNs, last);
   }
-  std::map<uint64_t, TraceStepStats> steps;
   for (const ThreadSnapshot& ts : snaps) {
     TraceThreadSummary t;
     t.tid = ts.tid;
@@ -288,22 +285,8 @@ TraceSummary TraceSession::summary() const {
     s.events += t.events;
     s.dropped += t.dropped;
     s.threads.push_back(std::move(t));
-
-    for (const TraceEvent& ev : ts.events) {
-      if (ev.ph != 'X' || std::strcmp(ev.name, "pool.step") != 0) continue;
-      TraceStepStats& ls = steps[ev.value];
-      ls.step = ev.value;
-      ls.spans++;
-      ls.sumNs += ev.durNs;
-      ls.maxNs = std::max(ls.maxNs, ev.durNs);
-    }
   }
   s.truncated = s.dropped > 0;
-  for (auto& [step, ls] : steps) {
-    ls.meanNs = ls.spans ? static_cast<double>(ls.sumNs) / static_cast<double>(ls.spans) : 0.0;
-    ls.imbalance = ls.meanNs > 0 ? static_cast<double>(ls.maxNs) / ls.meanNs : 1.0;
-    s.steps.push_back(ls);
-  }
   return s;
 }
 
@@ -329,18 +312,6 @@ Json TraceSummary::toJson() const {
     ts.push(std::move(row));
   }
   j["threads"] = std::move(ts);
-  Json ls = Json::array();
-  for (const TraceStepStats& l : steps) {
-    Json row = Json::object();
-    row["step"] = l.step;
-    row["spans"] = l.spans;
-    row["sum_ns"] = l.sumNs;
-    row["max_ns"] = l.maxNs;
-    row["mean_ns"] = l.meanNs;
-    row["imbalance"] = l.imbalance;
-    ls.push(std::move(row));
-  }
-  j["steps"] = std::move(ls);
   return j;
 }
 
@@ -354,26 +325,6 @@ std::string TraceSummary::render() const {
     out += fmt("  %-14s %7.1f%% %7.1f%% %7.1f%% %10llu\n", t.name.c_str(),
                   100.0 * t.busyFrac, 100.0 * t.barrierFrac, 100.0 * t.idleFrac,
                   static_cast<unsigned long long>(t.events));
-  if (!steps.empty()) {
-    // Rank by accumulated time so the expensive super-steps lead.
-    std::vector<TraceStepStats> byCost = steps;
-    std::sort(byCost.begin(), byCost.end(),
-              [](const TraceStepStats& a, const TraceStepStats& b) {
-                return a.sumNs > b.sumNs;
-              });
-    size_t n = std::min<size_t>(byCost.size(), 8);
-    out += fmt("  per-super-step imbalance (top %zu of %zu by time, ring window):\n", n,
-                  byCost.size());
-    out += fmt("  %6s %8s %12s %12s %10s\n", "step", "spans", "mean_us", "max_us",
-                  "imbalance");
-    for (size_t i = 0; i < n; i++) {
-      const TraceStepStats& l = byCost[i];
-      out += fmt("  %6llu %8llu %12.2f %12.2f %9.2fx\n",
-                    static_cast<unsigned long long>(l.step),
-                    static_cast<unsigned long long>(l.spans), l.meanNs / 1e3,
-                    static_cast<double>(l.maxNs) / 1e3, l.imbalance);
-    }
-  }
   return out;
 }
 

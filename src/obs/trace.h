@@ -1,7 +1,7 @@
 // Low-overhead execution tracing: per-thread ring-buffered event recording
 // that serializes to Chrome trace-event JSON (loadable in Perfetto or
 // chrome://tracing) and feeds a post-run attribution report (per-thread
-// busy/idle/barrier fractions, per-super-step imbalance).
+// busy/idle/barrier fractions).
 //
 // Design constraints, in priority order:
 //  1. Disabled-by-default recording costs one relaxed/acquire load of a
@@ -40,10 +40,8 @@ namespace essent::obs {
 // How much of the execution to record. Each level includes the previous:
 //   phase     — compile phases, subprocess/watchdog events, farm instance
 //               lifecycle; a handful of events per run.
-//   wave      — + thread-pool work/step/barrier spans per worker per epoch,
-//               activity counter tracks, and engine serial-phase spans; the
-//               attribution report needs this. (The name predates the BSP
-//               engine — it now covers super-step detail.)
+//   wave      — + thread-pool work/join/wait spans per worker per fork and
+//               per-tick engine spans; the attribution report needs this.
 //   partition — + one span per partition evaluation (high volume; the ring
 //               keeps the most recent window).
 enum class TraceDetail : uint8_t { Phase = 0, Wave = 1, Partition = 2 };
@@ -89,29 +87,15 @@ struct TraceThreadSummary {
   double idleFrac = 0.0;
 };
 
-// Aggregate per-super-step statistics over the "pool.step" spans retained
-// in the rings: how balanced each BSP super-step's per-lane run times are.
-// imbalance = maxNs / meanNs (1.0 = perfectly balanced).
-struct TraceStepStats {
-  uint64_t step = 0;
-  uint64_t spans = 0;
-  uint64_t sumNs = 0;
-  uint64_t maxNs = 0;
-  double meanNs = 0.0;
-  double imbalance = 1.0;
-};
-
 struct TraceSummary {
   uint64_t windowNs = 0;  // session epoch -> last recorded event
   uint64_t events = 0;
   uint64_t dropped = 0;
   // True when any ring overwrote events (flight-recorder wrap): the
   // busy/barrier/idle fractions stay exact (they accumulate outside the
-  // ring), but `steps` below covers only the retained window — consumers
-  // must not present it as a full-run report.
+  // ring), but the trace itself covers only the retained window.
   bool truncated = false;
   std::vector<TraceThreadSummary> threads;
-  std::vector<TraceStepStats> steps;  // from retained ring events only
 
   Json toJson() const;        // the `parallel` section of --stats-json
   std::string render() const; // the --trace-summary stdout table

@@ -245,7 +245,7 @@ std::optional<Request> parseRequest(const obs::Json& doc, std::string& code,
         } else if (name == "engine") {
           if (!v.isString() || !sim::parseEngineKind(v.asStr(), r.options.kind) ||
               r.options.kind == sim::EngineKind::Codegen) {
-            message = "options.engine must be one of full|event|ccss|par|lane";
+            message = "options.engine must be one of full|event|ccss|lane";
             return std::nullopt;
           }
         } else if (name == "threads") {

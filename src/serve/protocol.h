@@ -61,7 +61,7 @@ struct RequestOptions {
   uint32_t cp = 8;            // partitioner small-threshold C_p
   bool baseline = false;      // disable const-prop/CSE/DCE
   sim::EngineKind kind = sim::EngineKind::Ccss;
-  unsigned threads = 1;       // CcssPar worker lanes
+  unsigned threads = 1;       // accepted for compatibility; > 1 only warns (W0601)
   unsigned lanes = 0;         // Lane engine width (0 = engine default)
 
   // Canonical cache-key fragment, stable across field reordering.

@@ -510,13 +510,15 @@ obs::Json Server::handleRun(const Request& req) {
                                                           : stateBytes * liveEngines);
 
   sim::EngineOptions eo;
-  eo.threads = req.options.threads;
   eo.partitionSmallThreshold = req.options.cp;
   if (req.options.lanes > 0) eo.lanes = req.options.lanes;
+  // The deprecated `par` kind runs serial CCSS and warns through the
+  // factory; options.threads stays accepted on the wire but never spawns a
+  // thread — it only earns the same W0601 warning.
   std::vector<std::string> warnings;
+  if (req.options.threads > 1) warnings.push_back(sim::kSerialCcssFallback);
   eo.warnings = &warnings;
-  sim::EngineKind kind = req.options.kind;
-  if (kind == sim::EngineKind::Ccss && req.options.threads > 1) kind = sim::EngineKind::CcssPar;
+  const sim::EngineKind kind = req.options.kind;
 
   Clock::time_point t0 = Clock::now();
   obs::Json doc = okResponse(RequestOp::Run);
@@ -563,7 +565,8 @@ obs::Json Server::handleRun(const Request& req) {
     core::SimFarm farm(res.design, fo);
     core::FarmReport report = farm.run(jobs);
     guard.checkDeadline();
-    for (const std::string& w : report.warnings) warnings.push_back(w);
+    for (const std::string& w : report.warnings)
+      if (std::find(warnings.begin(), warnings.end(), w) == warnings.end()) warnings.push_back(w);
     obs::Json farmDoc = obs::Json::object();
     farmDoc["instances"] = static_cast<uint64_t>(report.instances.size());
     farmDoc["workers"] = report.workers;
@@ -591,7 +594,7 @@ obs::Json Server::handleRun(const Request& req) {
                                 .count());
   if (!warnings.empty()) {
     obs::Json w = obs::Json::array();
-    for (const std::string& s : warnings) w.push(s);
+    for (const std::string& s : warnings) w.push("W0601: " + s);
     doc["warnings"] = std::move(w);
   }
   return doc;

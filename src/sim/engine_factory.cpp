@@ -2,6 +2,10 @@
 // core/engine_factory.cpp (the core library provides the CCSS backends).
 #include "sim/engine_factory.h"
 
+// The deprecated CcssPar alias is named only here and in the factory case
+// that builds it (core/engine_factory.cpp).
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+
 namespace essent::sim {
 
 const char* engineKindName(EngineKind k) {
@@ -29,7 +33,9 @@ const char* engineKindLongName(EngineKind k) {
 }
 
 bool parseEngineKind(const std::string& token, EngineKind& out) {
-  for (EngineKind k : allEngineKinds()) {
+  std::vector<EngineKind> kinds = allEngineKinds();
+  kinds.push_back(EngineKind::CcssPar);
+  for (EngineKind k : kinds) {
     if (token == engineKindName(k) || token == engineKindLongName(k)) {
       out = k;
       return true;
@@ -39,13 +45,12 @@ bool parseEngineKind(const std::string& token, EngineKind& out) {
 }
 
 std::vector<EngineKind> allEngineKinds() {
-  return {EngineKind::FullCycle, EngineKind::EventDriven, EngineKind::Ccss,
-          EngineKind::CcssPar, EngineKind::Lane, EngineKind::Codegen};
+  return {EngineKind::FullCycle, EngineKind::EventDriven, EngineKind::Ccss, EngineKind::Lane,
+          EngineKind::Codegen};
 }
 
 std::vector<EngineKind> inProcessEngineKinds() {
-  return {EngineKind::FullCycle, EngineKind::EventDriven, EngineKind::Ccss,
-          EngineKind::CcssPar, EngineKind::Lane};
+  return {EngineKind::FullCycle, EngineKind::EventDriven, EngineKind::Ccss, EngineKind::Lane};
 }
 
 std::string engineKindList() {

@@ -249,7 +249,9 @@ void storeBV(SimState& st, const Layout& lay, const SimIR& ir, int32_t sig, cons
   for (size_t i = 0; i < adj.wordCount(); i++) st.vals[off + i] = adj.word(i);
 }
 
-void evalExecOpSlow(const SimIR& ir, const Layout& lay, SimState& st, const ExecOp& op) {
+// 64-byte aligned: see evalFastScalar in op_eval.h.
+[[gnu::aligned(64)]] void evalExecOpSlow(const SimIR& ir, const Layout& lay, SimState& st,
+                                         const ExecOp& op) {
   using namespace bvops;
   auto A = [&] { return loadBV(st, lay, ir, op.args[0]); };
   auto B = [&] { return loadBV(st, lay, ir, op.args[1]); };

@@ -26,8 +26,8 @@ void ThreadPool::failSpawnsAfterForTest(unsigned spawned) {
 namespace {
 
 // Spin-then-yield budget while parked between forks. The spin phase covers
-// back-to-back waves (the common case mid-cycle); the yield phase covers
-// the sequential gap between cycles; the condition variable catches
+// back-to-back forks; the yield phase covers short sequential gaps between
+// them; the condition variable catches
 // genuinely idle pools and oversubscribed machines. Spinning only makes
 // sense when the thread we wait on can run concurrently — on a single
 // hardware context it just burns the timeslice that thread needs, so the
@@ -49,8 +49,8 @@ ThreadPool::ThreadPool(unsigned threads) : numThreads_(threads == 0 ? 1 : thread
       workers_.emplace_back([this, lane] { workerLoop(lane); });
     } catch (const std::system_error&) {
       // OS thread exhaustion. Run degraded with the lanes that did spawn
-      // (possibly just the caller) rather than crashing; the engine factory
-      // turns the reduced lane count into a warning diagnostic.
+      // (possibly just the caller) rather than crashing; SimFarm reports the
+      // reduced lane count as FarmReport::workers.
       numThreads_ = static_cast<unsigned>(workers_.size()) + 1;
       break;
     }
@@ -111,7 +111,7 @@ void ThreadPool::run(const std::function<void(unsigned)>& fn) {
     fn(0);
   }
 
-  // Join: spin-then-yield; the join gap is bounded by one wave's work.
+  // Join: spin-then-yield; the join gap is bounded by one lane's work.
   uint64_t joinT0 = s ? s->nowNs() : 0;
   int spins = 0;
   while (pending_.load(std::memory_order_acquire) != 0) {
@@ -122,82 +122,6 @@ void ThreadPool::run(const std::function<void(unsigned)>& fn) {
   }
   if (s) s->complete("pool.join", joinT0, obs::TraceCat::Barrier);
   fn_ = nullptr;
-}
-
-void ThreadPool::stepBarrier(uint64_t target) {
-  // Counting barrier: each arrival is an acq_rel RMW on barArrived_, and a
-  // waiter leaves once the count covers every lane's arrival for this step.
-  // Reading a value that includes all numThreads_ increments synchronizes
-  // with each of them (release sequence through the RMW chain), so plain
-  // writes made before any lane's arrival are visible after the wait.
-  barArrived_.fetch_add(1, std::memory_order_acq_rel);
-  int spins = 0;
-  while (barArrived_.load(std::memory_order_acquire) < target) {
-    if (++spins >= spinBudget()) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
-}
-
-void ThreadPool::runStepLoop(unsigned lane) {
-  // Per-lane attribution: one "pool.step" Busy span per super-step, one
-  // "pool.barrier" Barrier span per inter-step wait — disjoint categorized
-  // intervals, mirroring run()'s pool.work/pool.join contract.
-  obs::TraceSession* s = obs::TraceSession::current();
-  if (s && !s->wants(obs::TraceDetail::Wave)) s = nullptr;
-  const size_t nSteps = numSteps_;
-  for (size_t step = 0; step < nSteps; step++) {
-    if (s) {
-      uint64_t t0 = s->nowNs();
-      obs::trace_detail::setInPooledWork(true);
-      (*stepFn_)(lane, step);
-      obs::trace_detail::setInPooledWork(false);
-      s->complete("pool.step", t0, obs::TraceCat::Busy, "step", step);
-    } else {
-      (*stepFn_)(lane, step);
-    }
-    if (step + 1 < nSteps) {
-      uint64_t barT0 = s ? s->nowNs() : 0;
-      stepBarrier(static_cast<uint64_t>(step + 1) * numThreads_);
-      if (s) s->complete("pool.barrier", barT0, obs::TraceCat::Barrier);
-    }
-  }
-}
-
-void ThreadPool::runSteps(size_t numSteps, const std::function<void(unsigned, size_t)>& fn) {
-  if (numSteps == 0) return;
-  if (numThreads_ == 1) {
-    stepFn_ = &fn;
-    numSteps_ = numSteps;
-    runStepLoop(0);
-    stepFn_ = nullptr;
-    return;
-  }
-  stepFn_ = &fn;
-  numSteps_ = numSteps;
-  barArrived_.store(0, std::memory_order_relaxed);
-  pending_.store(numThreads_ - 1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    epoch_.fetch_add(1, std::memory_order_release);
-  }
-  if (sleepers_.load(std::memory_order_acquire) > 0) cv_.notify_all();
-
-  runStepLoop(0);
-
-  obs::TraceSession* s = obs::TraceSession::current();
-  if (s && !s->wants(obs::TraceDetail::Wave)) s = nullptr;
-  uint64_t joinT0 = s ? s->nowNs() : 0;
-  int spins = 0;
-  while (pending_.load(std::memory_order_acquire) != 0) {
-    if (++spins >= spinBudget()) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
-  if (s) s->complete("pool.join", joinT0, obs::TraceCat::Barrier);
-  stepFn_ = nullptr;
 }
 
 void ThreadPool::workerLoop(unsigned lane) {
@@ -236,11 +160,8 @@ void ThreadPool::workerLoop(unsigned lane) {
       if (s == parkS) s->complete("pool.wait", parkT0, obs::TraceCat::Barrier);
       s->nameThread("worker-" + std::to_string(lane));
     }
-    // stepFn_/fn_ are published by the epoch bump observed above; exactly
-    // one of them is set per fork.
-    if (stepFn_ != nullptr) {
-      runStepLoop(lane);
-    } else if (s) {
+    // fn_ is published by the epoch bump observed above.
+    if (s) {
       uint64_t t0 = s->nowNs();
       obs::trace_detail::setInPooledWork(true);
       (*fn_)(lane);

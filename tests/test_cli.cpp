@@ -2,11 +2,13 @@
 // subprocess, the way a user runs it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #ifndef ESSENTC_PATH
 #error "ESSENTC_PATH must be defined by the build"
@@ -175,6 +177,20 @@ TEST(Cli, BatchRunsFarmAndAgreesWithSolo) {
   EXPECT_EQ(noRun.exitCode, 2);
   auto withVcd = runCli("--run 5 --batch 2 --vcd /tmp/x.vcd " + fir);
   EXPECT_EQ(withVcd.exitCode, 2);
+}
+
+// An unset --threads gives the farm one worker per hardware thread
+// (ThreadPool::defaultThreadCount), capped by the instance count.
+TEST(Cli, BatchDefaultsToOneWorkerPerCore) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw < 2) GTEST_SKIP() << "single-core host";
+  unsetenv("ESSENT_THREADS");
+  std::string fir = writeFir(kCounterFir);
+  auto res = runCli("--run 10 --batch 3 --poke en=1 --poke reset=0 " + fir);
+  EXPECT_EQ(res.exitCode, 0) << res.output;
+  const std::string expect =
+      "farm: 3 instances on ccss engine, " + std::to_string(std::min(3u, hw)) + " workers";
+  EXPECT_NE(res.output.find(expect), std::string::npos) << res.output;
 }
 
 TEST(Cli, BatchStimulusDirDrivesInstances) {

@@ -74,7 +74,7 @@ TEST(Diag, JsonRoundTrip) {
   de.setSource("a.fir", "circuit A :\n");
   de.error("E0102", "unterminated string literal", {"a.fir", 4, 9, 15})
       .note("string opened here", {"a.fir", 4, 9, 10});
-  de.warning("W0601", "parallel engine degraded to 2 threads", {});
+  de.warning("W0601", "falling back to serial CCSS engine", {});
   obs::Json doc = de.toJson();
   std::vector<diag::Diagnostic> back = diag::diagnosticsFromJson(doc);
   ASSERT_EQ(back.size(), 2u);

@@ -1,13 +1,12 @@
 // Cross-engine equivalence: the central correctness property of the
 // reproduction. For randomized designs and stimulus, the full-cycle engine
-// (reference), the levelized event-driven engine, and the CCSS activity
+// (reference), the level-ordered event-driven engine, and the CCSS activity
 // engine must agree bit-for-bit on every named signal, every cycle, along
 // with printf output and stop behaviour — across partitioner settings,
 // elision on/off, and optimization on/off.
 #include <gtest/gtest.h>
 
 #include "core/activity_engine.h"
-#include "core/parallel_engine.h"
 #include "designs/blocks.h"
 #include "designs/gcd.h"
 #include "designs/tinysoc.h"
@@ -23,7 +22,6 @@ namespace essent {
 namespace {
 
 using core::ActivityEngine;
-using core::ParallelActivityEngine;
 using core::ScheduleOptions;
 using sim::compareEngines;
 using sim::Engine;
@@ -80,16 +78,6 @@ TEST_P(RandomEquiv, AllEnginesAgree) {
   FullCycleEngine ref2(sim::CompiledDesign::compile(ir));
   auto m2 = compareEngines(ref2, act, 120, randomStimulus(seed * 31 + 1, toggleP));
   EXPECT_FALSE(m2.has_value()) << "ccss: " << m2->describe() << "\n" << text;
-
-  // The wave-parallel engine must agree signal-for-signal too, at both a
-  // narrow and a wide pool.
-  for (unsigned threads : {2u, 4u}) {
-    FullCycleEngine ref3(sim::CompiledDesign::compile(ir));
-    ParallelActivityEngine par(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), ScheduleOptions{}), threads);
-    auto m3 = compareEngines(ref3, par, 120, randomStimulus(seed * 31 + 1, toggleP));
-    EXPECT_FALSE(m3.has_value()) << "ccss-par t" << threads << ": " << m3->describe() << "\n"
-                                 << text;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -117,13 +105,6 @@ TEST_P(CpEquiv, CcssMatchesReferenceAtEveryCp) {
     ActivityEngine act(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), opts));
     auto m = compareEngines(ref, act, 100, randomStimulus(seed, 0.2));
     EXPECT_FALSE(m.has_value()) << "cp=" << cp << " seed=" << seed << ": " << m->describe();
-
-    // Granularity changes reshape the waves; the parallel engine must stay
-    // correct at every C_p, including the degenerate fine partitioning.
-    FullCycleEngine ref2(sim::CompiledDesign::compile(ir));
-    ParallelActivityEngine par(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), opts), 2);
-    auto mp = compareEngines(ref2, par, 100, randomStimulus(seed, 0.2));
-    EXPECT_FALSE(mp.has_value()) << "par cp=" << cp << " seed=" << seed << ": " << mp->describe();
   }
 }
 
@@ -238,8 +219,7 @@ TEST(TinySoC, AllEnginesAgreeOnWorkload) {
   FullCycleEngine fc(sim::CompiledDesign::compile(ir));
   EventDrivenEngine ev(sim::CompiledDesign::compile(ir));
   ActivityEngine act(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), ScheduleOptions{}));
-  ParallelActivityEngine par(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), ScheduleOptions{}), 3);
-  auto r1 = run(fc), r2 = run(ev), r3 = run(act), r4 = run(par);
+  auto r1 = run(fc), r2 = run(ev), r3 = run(act);
   EXPECT_EQ(r1.cycles, r2.cycles);
   EXPECT_EQ(r1.cycles, r3.cycles);
   EXPECT_EQ(r1.result, r2.result);
@@ -248,13 +228,6 @@ TEST(TinySoC, AllEnginesAgreeOnWorkload) {
   EXPECT_EQ(fc.printOutput(), act.printOutput());
   // The CCSS engine must actually have skipped work on this workload.
   EXPECT_LT(act.stats().opsEvaluated, fc.stats().opsEvaluated);
-  // The parallel engine does identical work in a different interleaving.
-  EXPECT_EQ(r4.cycles, r3.cycles);
-  EXPECT_EQ(r4.result, r3.result);
-  EXPECT_EQ(r4.instret, r3.instret);
-  EXPECT_EQ(par.printOutput(), act.printOutput());
-  EXPECT_EQ(r4.stats.opsEvaluated, r3.stats.opsEvaluated);
-  EXPECT_EQ(r4.stats.triggerSets, r3.stats.triggerSets);
 }
 
 TEST(TinySoC, PchaseHasLowerEffectiveActivityThanDhrystone) {

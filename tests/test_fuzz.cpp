@@ -95,8 +95,7 @@ TEST(Stimulus, HoldsResetForTwoCycles) {
 
 TEST(Oracle, CleanCircuitsAgreeInProcess) {
   OracleOptions oo;
-  oo.engines = {EngineKind::FullCycle, EngineKind::EventDriven, EngineKind::Ccss,
-                EngineKind::CcssPar};
+  oo.engines = {EngineKind::FullCycle, EngineKind::EventDriven, EngineKind::Ccss};
   for (uint64_t seed = 100; seed < 118; seed++) {
     GenOptions gen;
     gen.allowWide = seed % 6 == 0;
@@ -335,8 +334,8 @@ TEST(Campaign, Deterministic) {
   cfg.seed = 321;
   cfg.budget = 25;
   cfg.cycles = 25;
-  cfg.engines = {EngineKind::FullCycle, EngineKind::EventDriven, EngineKind::Ccss,
-                 EngineKind::CcssPar};  // no codegen: keep the test fast
+  cfg.engines = {EngineKind::FullCycle, EngineKind::EventDriven,
+                 EngineKind::Ccss};  // no codegen: keep the test fast
   cfg.shrinkFailures = false;
   FuzzSummary a = runFuzzCampaign(cfg, nullptr);
   FuzzSummary b = runFuzzCampaign(cfg, nullptr);

@@ -15,7 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel_engine.h"
+#include "core/activity_engine.h"
+#include "core/sim_farm.h"
 #include "designs/blocks.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -253,38 +254,42 @@ TEST(TraceSession, PoolWorkSpansCategorizedBusyAndDisjoint) {
   EXPECT_TRUE(sawPoolWork);
 }
 
-// End-to-end: the BSP parallel engine under a trace session emits per-step
-// spans and the summary's per-thread fractions stay normalized. Runs the
-// real ParallelActivityEngine (constructor path, no hardware clamp) with
-// the serial cutoff disabled so every cycle takes the pooled super-step
-// path — the tsan job exercises recording from real engine workers.
-TEST(TraceEngine, ParallelEngineEmitsStepSpansAndNormalizedSummary) {
-  sim::SimIR ir = sim::buildFromFirrtl(designs::gatedBanksFirrtl(32, 16));
+// End-to-end: a traced SimFarm batch (the repo's intra-process
+// parallelism) records per-instance and per-tick spans from real pool
+// workers, and the summary's per-thread fractions stay normalized — the
+// tsan job exercises recording from concurrent engine instances.
+TEST(TraceEngine, FarmBatchEmitsNormalizedSummary) {
+  auto design = sim::CompiledDesign::compile(
+      sim::buildFromFirrtl(designs::gatedBanksFirrtl(32, 16)));
+  core::FarmOptions fo;
+  fo.workers = 3;
+  std::vector<core::FarmJob> jobs(6);
+  for (size_t i = 0; i < jobs.size(); i++) {
+    jobs[i].maxCycles = 200;
+    jobs[i].init = [](sim::Engine& e) {
+      e.poke("reset", 0);
+      e.poke("wdata", 5);
+    };
+    jobs[i].stimulus = [i](sim::Engine& e, uint64_t c) { e.poke("bankSel", (c + i) % 32); };
+  }
   TraceSession s({TraceDetail::Wave, 1 << 14});
   s.install();
-  {
-    core::ParallelActivityEngine eng(
-        core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), core::ScheduleOptions{}),
-        3);
-    eng.setSerialCutoff(0);
-    eng.poke("reset", 0);
-    eng.poke("wdata", 5);
-    for (int c = 0; c < 200; c++) {
-      eng.poke("bankSel", static_cast<uint64_t>(c % 32));
-      eng.tick();
-    }
-  }  // engine (and its pool) destroyed -> buffers quiescent
+  core::FarmReport report = core::SimFarm(design, fo).run(jobs);
   s.uninstall();
+  ASSERT_TRUE(report.allOk());
 
   EXPECT_GT(s.eventCount(), 0u);
-  bool sawStep = false, sawCounter = false;
+  bool sawInstance = false, sawTick = false, sawWork = false;
   for (const auto& snap : s.snapshot())
     for (const obs::TraceEvent& ev : snap.events) {
-      if (std::string(ev.name) == "pool.step" && ev.ph == 'X') sawStep = true;
-      if (std::string(ev.name) == "parts_active" && ev.ph == 'C') sawCounter = true;
+      std::string name = ev.name;
+      if (name == "farm.instance" && ev.ph == 'X') sawInstance = true;
+      if (name == "tick" && ev.ph == 'X') sawTick = true;
+      if (name == "pool.work" && ev.ph == 'X') sawWork = true;
     }
-  EXPECT_TRUE(sawStep);
-  EXPECT_TRUE(sawCounter);
+  EXPECT_TRUE(sawInstance);
+  EXPECT_TRUE(sawTick);
+  EXPECT_TRUE(sawWork);
 
   obs::TraceSummary sum = s.summary();
   EXPECT_GT(sum.windowNs, 0u);
@@ -293,13 +298,11 @@ TEST(TraceEngine, ParallelEngineEmitsStepSpansAndNormalizedSummary) {
     EXPECT_NEAR(t.busyFrac + t.barrierFrac + t.idleFrac, 1.0, 1e-9);
     EXPECT_LE(t.busyNs + t.barrierNs, sum.windowNs);
   }
-  EXPECT_FALSE(sum.steps.empty());
-  EXPECT_FALSE(sum.truncated);  // 200 low-activity cycles fit a 16k ring
+  EXPECT_FALSE(sum.truncated);  // 6 x 200 cycles fit a 16k ring per thread
   std::string rendered = sum.render();
   EXPECT_NE(rendered.find("trace summary"), std::string::npos);
   obs::Json j = sum.toJson();
   EXPECT_NE(j.find("threads"), nullptr);
-  EXPECT_NE(j.find("steps"), nullptr);
   EXPECT_NE(j.find("truncated"), nullptr);
 }
 

@@ -24,6 +24,11 @@ struct BinaryCase {
   bool signedOk;  // also test the SInt flavour
 };
 
+// Without this gtest prints the raw object bytes (a string-literal address,
+// a std::function and padding), so the listed test names would change from
+// build to build.
+void PrintTo(const BinaryCase& c, std::ostream* os) { *os << c.name; }
+
 class BinaryPrimOp : public ::testing::TestWithParam<BinaryCase> {};
 
 TEST_P(BinaryPrimOp, MatchesReferenceAcrossWidths) {

@@ -1,6 +1,6 @@
-// Robustness tests: subprocess watchdog, resource-guard ceilings, parallel
-// engine graceful degradation, the mutation crash fuzzer, the oracle's
-// hang watchdog, and the essentc CLI exit-code contract.
+// Robustness tests: subprocess watchdog, resource-guard ceilings, thread
+// pool and thread-request degradation, the mutation crash fuzzer, the
+// oracle's hang watchdog, and the essentc CLI exit-code contract.
 #include <gtest/gtest.h>
 #include <fcntl.h>
 #include <signal.h>
@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel_engine.h"
 #include "fuzz/mutator.h"
 #include "fuzz/oracle.h"
 #include "fuzz/stimulus.h"
@@ -160,7 +159,7 @@ TEST(ResourceGuard, BuilderRefusesExplosiveDesign) {
   EXPECT_LT(nowMs() - t0, 5000);  // refused from the AST, not after flattening
 }
 
-// --- parallel engine degradation ---
+// --- thread-pool and thread-request degradation ---
 
 const char* kCounterFir =
     "circuit Counter :\n"
@@ -185,43 +184,6 @@ TEST(Degradation, PoolSpawnFailureDegradesLanes) {
   std::atomic<int> lanes{0};
   p1.run([&](unsigned) { lanes++; });
   EXPECT_EQ(lanes.load(), 2);
-}
-
-TEST(Degradation, MakeCcssEngineFallsBackToSerialWithWarning) {
-  sim::SimIR ir = sim::buildFromFirrtl(kCounterFir);
-  core::ScheduleOptions so;
-  // Every spawn fails. On a single-core host the clamp already routes to
-  // the serial engine; on a larger host the spawn failure does. Either way:
-  // a usable serial engine plus at least one warning, never a crash.
-  support::ThreadPool::failSpawnsAfterForTest(0);
-  std::vector<std::string> warnings;
-  auto eng = core::makeCcssEngine(ir, so, 4, &warnings);
-  ASSERT_NE(eng, nullptr);
-  EXPECT_EQ(eng->threadCount(), 1u);
-  EXPECT_FALSE(warnings.empty());
-  // And it still simulates correctly, bit-exact with a plain serial engine.
-  core::ActivityEngine ref(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), so));
-  eng->poke("en", 1);
-  ref.poke("en", 1);
-  for (int c = 0; c < 10; c++) {
-    eng->tick();
-    ref.tick();
-  }
-  EXPECT_EQ(eng->peek("count"), ref.peek("count"));
-  // The hook is one-shot, consumed by the first pool construction; when the
-  // clamp skipped pool construction entirely, consume it here so later
-  // tests see a healthy pool.
-  support::ThreadPool disarm(1);
-  EXPECT_EQ(disarm.numThreads(), 1u);
-}
-
-TEST(Degradation, OversubscriptionClampedWithWarning) {
-  sim::SimIR ir = sim::buildFromFirrtl(kCounterFir);
-  core::ScheduleOptions so;
-  std::vector<std::string> warnings;
-  auto eng = core::makeCcssEngine(ir, so, 100000, &warnings);
-  ASSERT_NE(eng, nullptr);
-  EXPECT_FALSE(warnings.empty());
 }
 
 // --- mutation fuzzer ---
@@ -308,6 +270,36 @@ TEST(CliRobust, HelpDocumentsExitCodes) {
   EXPECT_EQ(res.exitCode, 2);
   EXPECT_NE(res.output.find("exit codes"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("124"), std::string::npos);
+}
+
+// The simulated-value lines of an essentc --run report ("  name = 0x...").
+std::string valueLines(const std::string& output) {
+  std::istringstream in(output);
+  std::string line, out;
+  while (std::getline(in, line))
+    if (line.find(" = 0x") != std::string::npos) out += line + "\n";
+  return out;
+}
+
+// A solo run is single-threaded: --threads N > 1 runs the serial CCSS
+// engine with a W0601 warning and the same results as a plain run.
+TEST(Degradation, ThreadsRequestFallsBackToSerialWithWarning) {
+  std::string fir = writeTemp(kCounterFir);
+  auto plain = runCli("--run 10 --poke en=1 " + fir);
+  auto threaded = runCli("--run 10 --threads 4 --poke en=1 " + fir);
+  ASSERT_EQ(plain.exitCode, 0) << plain.output;
+  ASSERT_EQ(threaded.exitCode, 0) << threaded.output;
+  EXPECT_EQ(plain.output.find("W0601"), std::string::npos) << plain.output;
+  EXPECT_NE(threaded.output.find("W0601"), std::string::npos) << threaded.output;
+  EXPECT_FALSE(valueLines(plain.output).empty()) << plain.output;
+  EXPECT_EQ(valueLines(threaded.output), valueLines(plain.output));
+}
+
+TEST(Degradation, OversubscriptionClampedWithWarning) {
+  std::string fir = writeTemp(kCounterFir);
+  auto res = runCli("--run 10 --threads 100000 " + fir);
+  EXPECT_EQ(res.exitCode, 0) << res.output;
+  EXPECT_NE(res.output.find("W0601"), std::string::npos) << res.output;
 }
 
 TEST(CliRobust, MultiErrorFileRendersAllDiagnosticsAndJson) {

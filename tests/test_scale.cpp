@@ -2,8 +2,7 @@
 // sizes a unit test can afford, plus an opt-in full-size smoke.
 //
 // The cheap tier runs on every ctest invocation: structural invariants of
-// the partitioner and BSP placement on a mid-scale (~quarter-million-node)
-// TinySoC, and serial-vs-CCSS bit-identity on the ~130k-node scaled1
+// the partitioner on a mid-scale (~quarter-million-node) TinySoC, and serial-vs-CCSS bit-identity on the ~130k-node scaled1
 // preset — the multi-core SoC free-runs (never halts), so equivalence is
 // asserted as identical top-level outputs on every cycle of a fixed run
 // rather than via workload completion.
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "core/netlist.h"
-#include "core/placement.h"
 #include "core/schedule.h"
 #include "designs/tinysoc.h"
 #include "diag/diag.h"
@@ -38,11 +36,10 @@ std::shared_ptr<const sim::CompiledDesign> compileScaled(uint32_t factor,
 
 }  // namespace
 
-// Partitioner and placement structural invariants at a scale where the
-// merge fast paths and the placement coarsening actually engage (~256k
-// netlist nodes — big enough that a quadratic regression would also show
-// up as a timeout here).
-TEST(ScaleTest, MidScalePartitionerAndPlacementInvariants) {
+// Partitioner structural invariants at a scale where the merge fast paths
+// actually engage (~256k netlist nodes — big enough that a quadratic
+// regression would also show up as a timeout here).
+TEST(ScaleTest, MidScalePartitionerInvariants) {
   diag::DiagEngine de;
   std::shared_ptr<const sim::CompiledDesign> design = compileScaled(2, de);
   ASSERT_NE(design, nullptr);
@@ -67,37 +64,12 @@ TEST(ScaleTest, MidScalePartitionerAndPlacementInvariants) {
       EXPECT_EQ(seen[op], 0) << "op " << op << " in two partitions";
       seen[op] = 1;
       placedOps++;
-      if (i > 0) EXPECT_LT(part.ops[i - 1], op);
+      if (i > 0) {
+        EXPECT_LT(part.ops[i - 1], op);
+      }
     }
   }
   EXPECT_EQ(placedOps, design->ir.ops.size());
-
-  // BSP placement: every thread useful, every schedule position assigned to
-  // exactly one (thread, super-step) slot, and no dependency edge pointing
-  // backwards across super-steps.
-  core::PlacementOptions popts;
-  popts.threads = 4;
-  core::BspPlacement place = core::buildPlacement(sched, popts);
-  EXPECT_GE(place.threads, 1u);
-  EXPECT_LE(place.threads, 4u);
-  ASSERT_EQ(place.threadOf.size(), sched.parts.size());
-  ASSERT_EQ(place.stepOf.size(), sched.parts.size());
-  std::vector<uint8_t> placed(sched.parts.size(), 0);
-  for (const core::SuperStep& step : place.steps) {
-    EXPECT_EQ(step.runs.size(), place.threads);
-    for (const std::vector<int32_t>& run : step.runs)
-      for (int32_t pos : run) {
-        ASSERT_GE(pos, 0);
-        ASSERT_LT(static_cast<size_t>(pos), placed.size());
-        EXPECT_EQ(placed[pos], 0) << "position " << pos << " placed twice";
-        placed[pos] = 1;
-      }
-  }
-  for (size_t pos = 0; pos < placed.size(); pos++)
-    EXPECT_EQ(placed[pos], 1) << "position " << pos << " never placed";
-  for (const auto& [from, to] : core::placementEdges(sched))
-    EXPECT_LE(place.stepOf[from], place.stepOf[to])
-        << "dependency " << from << "->" << to << " crosses steps backwards";
 }
 
 // Serial full-cycle vs CCSS bit-identity on the scaled1 preset (~130k

@@ -423,6 +423,39 @@ TEST(ServerTest, RunMatchesSoloEngine) {
     EXPECT_EQ(hex.asStr(), eng->peekBV(name).toHexString()) << "output " << name;
 }
 
+// Wire compatibility: options.threads and engine "par" stay accepted, run
+// the serial CCSS engine (same outputs as threads: 1), and say so with a
+// W0601 warning — no request can make the daemon spawn threads.
+TEST(ServerTest, ThreadsAndParRunSerialWithWarning) {
+  TestServer ts;
+  std::ifstream f(std::string(WIRE_CORPUS_DIR) + "/threads_ignored.case");
+  std::string directive, payload;
+  std::getline(f, directive);
+  std::getline(f, payload);
+  obs::Json threaded = obs::Json::parse(payload);
+  obs::Json plain = threaded;
+  plain["options"]["threads"] = 1u;
+  obs::Json par = plain;
+  par["options"]["engine"] = "par";
+
+  std::optional<obs::Json> base = rpc(ts, plain.dump(0));
+  ASSERT_TRUE(envelope(base).ok) << base->dump(0);
+  EXPECT_EQ(base->find("warnings"), nullptr);
+  for (const obs::Json& req : {threaded, par}) {
+    std::optional<obs::Json> resp = rpc(ts, req.dump(0));
+    ASSERT_TRUE(envelope(resp).ok) << resp->dump(0);
+    EXPECT_EQ(resp->at("outputs").dump(0), base->at("outputs").dump(0));
+    EXPECT_EQ(resp->at("cycles").asUInt(), base->at("cycles").asUInt());
+    ASSERT_NE(resp->find("warnings"), nullptr) << resp->dump(0);
+    ASSERT_EQ(resp->at("warnings").size(), 1u) << resp->dump(0);
+    EXPECT_EQ(resp->at("warnings").at(0).asStr().rfind("W0601: ", 0), 0u) << resp->dump(0);
+  }
+  // Still range-checked: outside input must not pick an unbounded count.
+  obs::Json huge = plain;
+  huge["options"]["threads"] = 100000u;
+  EXPECT_EQ(envelope(rpc(ts, huge.dump(0))).errorCode, serve::kErrBadRequest);
+}
+
 TEST(ServerTest, BatchRunReportsFarmResults) {
   TestServer ts;
   obs::Json req = runRequest(kCounterFir, 500, {{"en", 1}});

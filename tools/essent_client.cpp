@@ -17,8 +17,8 @@
 //   --cycles N            run: tick budget
 //   --batch N             run: farm instance count
 //   --poke NAME=VALUE     run: input value (repeatable)
-//   --engine K            full|event|ccss|par|lane
-//   --threads N, --cp N, --baseline, --lanes N   engine options
+//   --engine K            full|event|ccss|lane
+//   --cp N, --baseline, --lanes N   engine options
 //   --sleep-ms N          ping test hook (server must run --test-hooks)
 //   --retries N           transport retry attempts (default 3)
 //   --backoff-ms N        initial retry backoff, doubled per attempt with
@@ -66,7 +66,6 @@ struct Args {
   uint32_t batch = 0;
   std::vector<std::pair<std::string, uint64_t>> pokes;
   std::string engine;
-  uint32_t threads = 0;
   uint32_t cp = 0;
   uint32_t lanes = 0;
   bool baseline = false;
@@ -86,7 +85,7 @@ struct Args {
                "                     [--op ping|compile|run|status|evict|shutdown]\n"
                "                     [--design FILE] [--design-hash H] [--cycles N]\n"
                "                     [--batch N] [--poke NAME=VALUE]... [--engine K]\n"
-               "                     [--threads N] [--cp N] [--lanes N] [--baseline]\n"
+               "                     [--cp N] [--lanes N] [--baseline]\n"
                "                     [--sleep-ms N] [--retries N] [--backoff-ms N]\n"
                "                     [--timeout-ms N] [--campaign N] [--seed S] [--quiet]\n"
                "exit codes: 0 ok; 1 error response; 2 usage; 3 transport failure\n");
@@ -120,8 +119,6 @@ Args parseArgs(int argc, char** argv) {
       if (eq == std::string::npos) usage("--poke expects NAME=VALUE");
       a.pokes.emplace_back(kv.substr(0, eq), std::strtoull(kv.c_str() + eq + 1, nullptr, 0));
     } else if (arg == "--engine") a.engine = next();
-    else if (arg == "--threads")
-      a.threads = static_cast<uint32_t>(std::strtoul(next().c_str(), nullptr, 0));
     else if (arg == "--cp") a.cp = static_cast<uint32_t>(std::strtoul(next().c_str(), nullptr, 0));
     else if (arg == "--lanes")
       a.lanes = static_cast<uint32_t>(std::strtoul(next().c_str(), nullptr, 0));
@@ -229,7 +226,6 @@ obs::Json buildRequest(const Args& a) {
   }
   obs::Json optsDoc = obs::Json::object();
   if (!a.engine.empty()) optsDoc["engine"] = a.engine;
-  if (a.threads > 0) optsDoc["threads"] = a.threads;
   if (a.cp > 0) optsDoc["cp"] = a.cp;
   if (a.lanes > 0) optsDoc["lanes"] = a.lanes;
   if (a.baseline) optsDoc["baseline"] = true;

@@ -1,12 +1,12 @@
-// essent-fuzz — differential FIRRTL fuzzer across all six execution paths
-// (full-cycle reference, event-driven, CCSS, parallel CCSS, the SIMD lane
-// engine, and the compiled codegen simulator). Generates seeded random circuits + stimulus,
+// essent-fuzz — differential FIRRTL fuzzer across all five execution paths
+// (full-cycle reference, event-driven, CCSS, the SIMD lane engine, and the
+// compiled codegen simulator). Generates seeded random circuits + stimulus,
 // compares every output signal every cycle plus final register/memory
 // state, shrinks failures with delta debugging, and saves reproducers.
 //
 // Usage:
 //   essent_fuzz [--seed S] [--budget N] [--cycles N]
-//               [--engines full,event,ccss,par,lane,codegen] [--threads N]
+//               [--engines full,event,ccss,lane,codegen]
 //               [--codegen-every N] [--wide-every N]
 //               [--corpus DIR] [--no-shrink] [--timeout-ms N] [-v]
 //   essent_fuzz --mode mutate [--seed S] [--budget N] [--max-mutations N]
@@ -22,6 +22,7 @@
 // Deterministic: the same --seed always generates the same circuits and
 // verdicts; --replay CASESEED reproduces a single case from any campaign.
 // Exit status: 0 when every case agrees, 1 on any divergence.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -41,7 +42,7 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: essent_fuzz [--seed S] [--budget N] [--cycles N]\n"
-               "                   [--engines full,event,ccss,par,lane,codegen] [--threads N]\n"
+               "                   [--engines full,event,ccss,lane,codegen]\n"
                "                   [--codegen-every N] [--wide-every N]\n"
                "                   [--corpus DIR] [--no-shrink] [--timeout-ms N] [-v]\n"
                "                   [--mode differential|mutate] [--max-mutations N]\n"
@@ -78,7 +79,6 @@ int main(int argc, char** argv) {
     if (a == "--seed") cfg.seed = std::strtoull(next(), nullptr, 0);
     else if (a == "--budget") cfg.budget = std::strtoull(next(), nullptr, 0);
     else if (a == "--cycles") cfg.cycles = std::strtoull(next(), nullptr, 0);
-    else if (a == "--threads") cfg.parThreads = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
     else if (a == "--codegen-every") cfg.codegenEvery = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
     else if (a == "--wide-every") cfg.wideEvery = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
     else if (a == "--corpus") cfg.corpusDir = next();
@@ -95,7 +95,9 @@ int main(int argc, char** argv) {
       cfg.engines.clear();
       for (const std::string& tok : splitString(next(), ',')) {
         fuzz::EngineKind k;
-        if (!fuzz::parseEngineKind(trimString(tok), k)) {
+        const std::vector<fuzz::EngineKind> kinds = fuzz::allEngineKinds();
+        if (!fuzz::parseEngineKind(trimString(tok), k) ||
+            std::find(kinds.begin(), kinds.end(), k) == kinds.end()) {
           std::fprintf(stderr, "essent_fuzz: unknown engine '%s'\n", tok.c_str());
           usage();
         }

@@ -14,10 +14,11 @@
 //
 // Options:
 //   -o FILE               output file for --emit-cpp / --dot
-//   --engine E            full | event | ccss | par    (--run; default ccss;
+//   --engine E            full | event | ccss | lane   (--run; default ccss;
 //                         long aliases full-cycle|event-driven|essent-ccss|
-//                         essent-ccss-par also accepted — sim::parseEngineKind
-//                         is the single name table shared with essent_fuzz)
+//                         essent-lane also accepted — sim::parseEngineKind
+//                         is the single name table shared with essent_fuzz;
+//                         the deprecated par runs serial ccss with W0601)
 //   --baseline            emit/run with all optimizations disabled
 //   --no-hints            disable branch hints in generated code
 //   --cp N                partitioner small threshold C_p (default 8)
@@ -32,12 +33,10 @@
 //                         (per-partition counters + activity timeline;
 //                         ccss engine only)
 //   --profile-window N    timeline bucket width in cycles (default 256)
-//   --threads N           worker threads for --run with the ccss engine
-//                         (default $ESSENT_THREADS, else 1; N > 1 selects
-//                         the statically-placed BSP parallel engine,
-//                         clamped to hardware concurrency and to the
-//                         placement's useful width with W0601 warnings);
-//                         with --batch, the farm worker count instead
+//   --threads N           farm worker count for --batch (default
+//                         $ESSENT_THREADS, else hardware concurrency); a
+//                         solo --run is single-threaded, so N > 1 there
+//                         only warns (W0601)
 //   --batch N             with --run: simulate N concurrent instances that
 //                         share one compiled schedule (core::SimFarm) and
 //                         report aggregate farm throughput
@@ -45,8 +44,7 @@
 //                         (sorted, wrapping) stimulus file in DIR; the file
 //                         format is the fuzzer's Stimulus serialization
 //   --stats-json FILE     write design/partitioning/timing stats as JSON
-//                         (gains a "placement" section when --threads > 1,
-//                         and "parallel" + "metrics" sections when
+//                         (gains "parallel" + "metrics" sections when
 //                         tracing / metrics are active)
 //   --trace FILE          record an execution trace and write it as Chrome
 //                         trace-event JSON (open in https://ui.perfetto.dev)
@@ -56,8 +54,8 @@
 //                         ~64k events); raise it when the summary reports
 //                         truncated: true
 //   --trace-summary       print the post-run attribution report (per-thread
-//                         busy/barrier/idle fractions, per-step imbalance);
-//                         implies recording even without --trace
+//                         busy/barrier/idle fractions); implies recording
+//                         even without --trace
 //   --top-hot N           after --run, print the N hottest partitions
 //   --diag-json FILE      write all diagnostics as JSON (machine-readable
 //                         mirror of the stderr rendering)
@@ -93,8 +91,6 @@
 #include "codegen/emitter.h"
 #include "core/activity_engine.h"
 #include "core/lane_engine.h"
-#include "core/parallel_engine.h"
-#include "core/placement.h"
 #include "core/obs_export.h"
 #include "core/sim_farm.h"
 #include "designs/tinysoc.h"
@@ -111,6 +107,7 @@
 #include "support/strutil.h"
 #include "support/subprocess.h"
 #include "support/tempdir.h"
+#include "support/threadpool.h"
 
 using namespace essent;
 
@@ -137,7 +134,7 @@ struct Args {
   bool traceSummary = false;
   uint32_t profileWindow = 256;
   uint32_t topHot = 0;
-  uint32_t threads = 0;  // 0 = unset: ESSENT_THREADS, else 1
+  uint32_t threads = 0;  // 0 = unset: ThreadPool::defaultThreadCount()
   uint32_t batch = 0;    // --run instance count; 0 = solo (no farm)
   uint32_t lanes = 0;    // SIMD lanes for the lane engine; 0 = unset
   std::string stimulusDir;
@@ -153,7 +150,7 @@ struct Args {
   std::fprintf(stderr,
                "usage: essentc [--stats | --emit-cpp | --run N | --compile-run N | --dot]\n"
                "               [-o FILE] [--shards N] [--allow-comb-loops]\n"
-               "               [--engine full|event|ccss|par|lane] [--baseline] [--no-hints]\n"
+               "               [--engine full|event|ccss|lane] [--baseline] [--no-hints]\n"
                "               [--cp N] [--poke NAME=VALUE]... [--vcd FILE]\n"
                "               [--profile FILE] [--profile-window N] [--threads N]\n"
                "               [--batch N] [--lanes N] [--stimulus-dir DIR]\n"
@@ -256,8 +253,7 @@ Args parseArgs(int argc, char** argv) {
   if (!a.inputPath.empty() && a.scale > 0)
     usage("--scale generates its own design; drop the input file");
   // --lanes selects the SIMD lane engine: with the default ccss kind it
-  // upgrades the kind (like --threads upgrades ccss to par); an explicit
-  // non-CCSS kind conflicts.
+  // upgrades the kind; an explicit non-CCSS kind conflicts.
   if (a.lanes > 0 && a.mode != Args::Mode::Run) usage("--lanes requires --run");
   if (a.lanes > 0) {
     if (a.engineKind == sim::EngineKind::Ccss) a.engineKind = sim::EngineKind::Lane;
@@ -265,9 +261,7 @@ Args parseArgs(int argc, char** argv) {
       usage("--lanes requires the ccss or lane engine");
   }
   if (a.engineKind == sim::EngineKind::Lane && a.lanes == 0) a.lanes = 4;
-  bool ccssKind =
-      a.engineKind == sim::EngineKind::Ccss || a.engineKind == sim::EngineKind::CcssPar;
-  bool laneKind = a.engineKind == sim::EngineKind::Lane;
+  bool ccssKind = a.engineKind == sim::EngineKind::Ccss;
   if ((!a.profilePath.empty() || a.topHot > 0) && a.mode != Args::Mode::Run)
     usage("--profile / --top-hot require --run");
   if ((!a.profilePath.empty() || a.topHot > 0) && !ccssKind)
@@ -280,23 +274,6 @@ Args parseArgs(int argc, char** argv) {
   if (!a.stimulusDir.empty() && a.batch == 0) usage("--stimulus-dir requires --batch");
   if (a.batch > 0 && (!a.vcdPath.empty() || !a.profilePath.empty() || a.topHot > 0))
     usage("--batch does not support --vcd / --profile / --top-hot (per-instance output)");
-  if (a.threads == 0) {
-    if (const char* env = std::getenv("ESSENT_THREADS")) {
-      long v = std::strtol(env, nullptr, 10);
-      if (v >= 1) a.threads = static_cast<uint32_t>(v);
-    }
-    if (a.threads == 0) a.threads = 1;
-  }
-  if (a.batch == 0) {
-    if (a.threads > 1 && a.mode == Args::Mode::Run && !ccssKind && !laneKind)
-      usage("--threads > 1 requires the ccss engine");
-    // `--engine ccss --threads N>1` has always meant the wave-parallel
-    // engine; keep that spelling equivalent to the explicit `--engine par`.
-    if (a.engineKind == sim::EngineKind::Ccss && a.threads > 1)
-      a.engineKind = sim::EngineKind::CcssPar;
-  }
-  // Under --batch, --threads sets the farm worker count and every instance
-  // runs the kind as selected (serial unless `par` was explicit).
   return a;
 }
 
@@ -365,7 +342,7 @@ obs::Json statsJsonDoc(const Args& a, const sim::SimIR& ir,
   options["cp"] = a.cp;
   options["baseline"] = a.baseline;
   options["engine"] = sim::engineKindName(a.engineKind);
-  options["threads"] = a.threads;
+  options["threads"] = a.threads ? a.threads : support::ThreadPool::defaultThreadCount();
   if (a.batch > 0) options["batch"] = a.batch;
   if (a.lanes > 0) options["lanes"] = a.lanes;
   doc["options"] = std::move(options);
@@ -373,16 +350,6 @@ obs::Json statsJsonDoc(const Args& a, const sim::SimIR& ir,
   if (sched) {
     doc["partitioning"] = core::partitionStatsJson(sched->partitionStats);
     doc["schedule"] = core::scheduleSummaryJson(*sched);
-  }
-  // Static BSP placement shape. The live engine's placement when one ran
-  // parallel; otherwise (e.g. --stats with --threads N) a fresh build over
-  // the schedule, so compile-only runs can inspect super-step coarsening.
-  if (auto* par = dynamic_cast<const core::ParallelActivityEngine*>(eng)) {
-    doc["placement"] = core::placementReportJson(par->placement());
-  } else if (sched && a.threads > 1) {
-    core::PlacementOptions popts;
-    popts.threads = a.threads;
-    doc["placement"] = core::placementReportJson(core::buildPlacement(*sched, popts));
   }
   if (eng) {
     obs::Json e = obs::Json::object();
@@ -460,15 +427,15 @@ int runSim(const Args& a, std::shared_ptr<const sim::CompiledDesign> design,
   guard.checkCycles(a.runCycles);
   // Single construction path: the factory resolves the kind, builds (or
   // reuses) the kind-specific compiled structure, and applies the profiling
-  // knobs. Graceful degradation (thread clamping, spawn-failure fallback to
-  // the serial engine) surfaces through `warnings` as W0601 diagnostics.
+  // knobs. A solo run is single-threaded: --threads N > 1 and the
+  // deprecated `par` kind surface through `warnings` as W0601 diagnostics.
   sim::EngineOptions eo;
-  eo.threads = a.threads;
   eo.partitionSmallThreshold = a.cp;
   if (a.lanes > 0) eo.lanes = a.lanes;
   eo.profiling = !a.profilePath.empty() || a.topHot > 0;
   eo.profileWindow = a.profileWindow;
   std::vector<std::string> warnings;
+  if (a.threads > 1) warnings.push_back(sim::kSerialCcssFallback);
   eo.warnings = &warnings;
   std::unique_ptr<sim::Engine> eng = sim::makeEngine(a.engineKind, std::move(design), eo);
   for (const std::string& w : warnings) de.warning("W0601", w, {});
