@@ -10,7 +10,6 @@
 // so the compiler separates them from the hot instruction working set; the
 // hints row quantifies the effect.
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -19,11 +18,18 @@
 #include "codegen/emitter.h"
 #include "core/netlist.h"
 #include "support/strutil.h"
+#include "support/subprocess.h"
 #include "support/tempdir.h"
 
 using namespace essent;
 
 namespace {
+
+// Watchdog budgets: the host compile of the mid-size SoC takes seconds and
+// the compiled run about one; a wedged process fails its case instead of
+// hanging the bench.
+constexpr int64_t kCompileTimeoutMs = 300'000;
+constexpr int64_t kRunTimeoutMs = 120'000;
 
 struct CompiledRun {
   bool ok = false;
@@ -33,8 +39,10 @@ struct CompiledRun {
   std::string detail;
 };
 
+// Compiles and runs the simulator; ok only when the run halts with the
+// reference model's result.
 CompiledRun compileAndTime(const std::string& code, const workloads::Program& prog,
-                           uint64_t maxCycles) {
+                           const workloads::RefState& ref, uint64_t maxCycles) {
   CompiledRun res;
   // RAII scratch dir: removed on every return path (compile failure, run
   // failure, success) — matching essentc --compile-run and the fuzz oracle.
@@ -45,7 +53,6 @@ CompiledRun compileAndTime(const std::string& code, const workloads::Program& pr
     res.detail = e.what();
     return res;
   }
-  const std::string& dir = dirGuard->path();
   std::string src = dirGuard->file("sim.cpp");
   {
     std::ofstream f(src);
@@ -66,23 +73,31 @@ CompiledRun compileAndTime(const std::string& code, const workloads::Program& pr
          "  unsigned long long cycles = 0;\n";
     f << "  while (!sim.stopped_ && cycles < " << maxCycles << "ull) { sim.eval(); cycles++; }\n";
     f << "  auto dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0);\n"
-         "  std::printf(\"cycles=%llu seconds=%.6f result=%llu\\n\", cycles, dt.count(),\n"
-         "              (unsigned long long)sim.mem_dmem[21]);\n"
+         "  std::printf(\"cycles=%llu seconds=%.6f result=%llu halted=%d\\n\", cycles,\n"
+         "              dt.count(), (unsigned long long)sim.mem_dmem[21], sim.stopped_ ? 1 : 0);\n"
          "  return 0;\n}\n";
   }
   std::string bin = dirGuard->file("sim");
+  support::RunOptions ro;
+  ro.timeoutMs = kCompileTimeoutMs;
   auto c0 = std::chrono::steady_clock::now();
-  std::string cmd = "c++ -std=c++20 -O2 -o " + bin + " " + src + " 2>" + dir + "/cc.log";
-  if (std::system(cmd.c_str()) != 0) {
+  support::ExecResult cc = support::runShell(
+      "c++ -std=c++20 -O2 -o " + support::shellQuote(bin) + " " + support::shellQuote(src) +
+          " 2> " + support::shellQuote(dirGuard->file("cc.log")),
+      ro);
+  if (!cc.ok()) {
     // Keep the scratch dir so the referenced log survives for inspection.
-    res.detail = "compile failed (see " + dirGuard->keep() + "/cc.log)";
+    res.detail = "compile " + cc.describe() + " (see " + dirGuard->keep() + "/cc.log)";
     return res;
   }
   res.compileSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - c0).count();
   std::string outFile = dirGuard->file("out.txt");
-  if (std::system((bin + " > " + outFile).c_str()) != 0) {
-    res.detail = "run failed";
+  ro.timeoutMs = kRunTimeoutMs;
+  support::ExecResult run =
+      support::runShell(support::shellQuote(bin) + " > " + support::shellQuote(outFile), ro);
+  if (!run.ok()) {
+    res.detail = "run " + run.describe();
     return res;
   }
   std::ifstream out(outFile);
@@ -91,17 +106,20 @@ CompiledRun compileAndTime(const std::string& code, const workloads::Program& pr
   std::string line, candidate;
   while (std::getline(out, candidate))
     if (candidate.rfind("cycles=", 0) == 0) line = candidate;
-  // parse "cycles=N seconds=S result=R"
+  // parse "cycles=N seconds=S result=R halted=H"
   unsigned long long cyc = 0, result = 0;
   double sec = 0;
-  if (std::sscanf(line.c_str(), "cycles=%llu seconds=%lf result=%llu", &cyc, &sec, &result) == 3) {
-    res.ok = true;
-    res.cycles = cyc;
-    res.runSeconds = sec;
-    res.detail = essent::strfmt("result=0x%llx", result);
-  } else {
+  int halted = 0;
+  if (std::sscanf(line.c_str(), "cycles=%llu seconds=%lf result=%llu halted=%d", &cyc, &sec,
+                  &result, &halted) != 4) {
     res.detail = "unparseable output: " + line;
+    return res;
   }
+  res.cycles = cyc;
+  res.runSeconds = sec;
+  res.detail = essent::strfmt("result=%llu halted=%d, reference %u", result, halted,
+                              static_cast<unsigned>(ref.regs[1]));
+  res.ok = halted == 1 && result == ref.regs[1];
   return res;
 }
 
@@ -116,6 +134,8 @@ int main() {
   sim::SimIR ir = sim::buildFromFirrtl(designs::tinySoCFirrtl(cfg));
   // Long enough (~330k cycles) that the compiled runs are not timer noise.
   auto prog = workloads::dhrystoneProgram(16384);
+  constexpr uint64_t kMaxCycles = 500000;
+  const workloads::RefState ref = workloads::runReferenceModel(prog, kMaxCycles);
 
   core::Netlist nl = core::Netlist::build(ir);
   core::CondPartSchedule sched = core::buildSchedule(nl, core::ScheduleOptions{});
@@ -138,15 +158,17 @@ int main() {
       {"compiled CCSS, no mux-way", true, true, false},
   };
   double baselineRun = 0, ccssRun = 0;
+  int failures = 0;
   for (const auto& c : cases) {
     codegen::CodegenOptions opts;
     opts.ccss = c.ccss;
     opts.branchHints = c.hints;
     opts.muxShadow = c.muxShadow;
     std::string code = codegen::emitCpp(ir, c.ccss ? &sched : nullptr, opts);
-    auto r = compileAndTime(code, prog, 500000);
+    auto r = compileAndTime(code, prog, ref, kMaxCycles);
     if (!r.ok) {
-      std::printf("%-26s %s\n", c.name, r.detail.c_str());
+      std::printf("%-26s FAILED: %s\n", c.name, r.detail.c_str());
+      failures++;
       continue;
     }
     std::printf("%-26s %12.2f %10.4f %12.1f\n", c.name, r.compileSeconds, r.runSeconds,
@@ -166,5 +188,5 @@ int main() {
   if (baselineRun > 0 && ccssRun > 0)
     std::printf("\ncompiled CCSS speedup over compiled baseline: %.2fx\n",
                 baselineRun / ccssRun);
-  return 0;
+  return failures ? 1 : 0;
 }

@@ -18,12 +18,24 @@ using sim::SimIR;
 
 namespace {
 
-std::vector<std::string> buildNames(const SimIR& ir) {
+bool isPort(const sim::Signal& sig) {
+  return sig.kind == SigKind::Input || sig.kind == SigKind::Output;
+}
+
+// Top-level ports keep their (sanitized, collision-free) names as struct
+// members; every other signal is the arena word `st_[k]` at its
+// sim::Layout offset k.
+std::vector<std::string> buildNames(const SimIR& ir, const sim::Layout& layout) {
   std::vector<std::string> names(ir.signals.size());
-  std::unordered_set<std::string> used = {"eval", "cycles_", "stopped_", "exit_code_"};
+  std::unordered_set<std::string> used = {"eval", "st_",          "act_",    "prev_",
+                                          "first_cycle_", "cycles_", "stopped_", "exit_code_"};
   for (size_t s = 0; s < ir.signals.size(); s++) {
     const auto& sig = ir.signals[s];
-    std::string base = sig.name.empty() ? strfmt("t%zu", s) : sanitizeIdent(sig.name);
+    if (!isPort(sig)) {
+      names[s] = strfmt("st_[%u]", layout.offset[s]);
+      continue;
+    }
+    std::string base = sanitizeIdent(sig.name);
     std::string name = base;
     int suffix = 1;
     while (!used.insert(name).second) name = base + "_" + std::to_string(suffix++);
@@ -37,44 +49,46 @@ std::string maskExpr(const std::string& e, uint32_t width) {
   return strfmt("(%s) & 0x%llxull", e.c_str(), static_cast<unsigned long long>((1ull << width) - 1));
 }
 
+// The emitted program before it is split into files: `header` declares the
+// simulator struct and the cross-unit functions, `units[k]` holds the
+// definitions of unit k (inside namespace essent_gen).
+struct Units {
+  std::string header;
+  std::vector<std::string> units;
+};
+
+// All generated evaluation code lives in free functions over `Simulator& s`
+// (eval() binds `s` to *this), so every signal reference is `s.` + its
+// member name.
 class Emitter {
  public:
   Emitter(const SimIR& ir, const CondPartSchedule* sched, const CodegenOptions& opts)
-      : ir_(ir), sched_(sched), opts_(opts), names_(buildNames(ir)) {
+      : ir_(ir), sched_(sched), opts_(opts), layout_(sim::Layout::build(ir)) {
     for (const auto& sig : ir.signals) {
       if (sig.kind != SigKind::Dead && sig.width > 64)
         throw CodegenError("signal '" + sig.name + "' is wider than 64 bits; the C++ backend "
                            "emits uint64_t storage (use the in-process engines instead)");
     }
     if (opts.ccss && !sched) throw CodegenError("CCSS mode requires a schedule");
+    names_ = buildNames(ir, layout_);
+    for (auto& n : names_) n.insert(0, "s.");
     resetSig_ = ir.findSignal("reset");
     computeUseCounts();
   }
 
-  std::string run() {
-    emitPreamble();
-    emitMembers();
-    if (opts_.ccss) emitPartitionFunctions();
-    emitEval();
-    out_ += "};\n\n}  // namespace essent_gen\n";
-    return out_;
-  }
-
-  ShardedCpp runSharded(uint32_t shards, const std::string& base) {
-    ShardedCpp sh;
-    sh.headerName = base + ".h";
+  Units run(uint32_t shards) {
     const std::string& cn = opts_.className;
 
-    // Work-function definitions, in schedule order: one per partition
-    // (CCSS) or one per contiguous op slice (baseline).
-    std::vector<std::string> decls, defs;
+    // Work functions, in schedule order: one per partition (CCSS) or one
+    // per contiguous op slice (baseline). They are file-static; each unit
+    // exports one sweep_<k>() that calls its own in order.
+    std::vector<std::string> defs, calls;
     if (opts_.ccss) {
       for (size_t pos = 0; pos < sched_->parts.size(); pos++) {
-        decls.push_back(strfmt("  void part_%zu();\n", pos));
         out_.clear();
-        emitPartitionFunction(pos, strfmt("void %s::part_%zu()", cn.c_str(), pos), "  ",
-                              "}\n\n");
+        emitPartitionFunction(pos);
         defs.push_back(std::move(out_));
+        calls.push_back(strfmt("  if (s.act_[%zu]) part_%zu(s);\n", pos, pos));
       }
     } else {
       std::vector<int32_t> all(ir_.ops.size());
@@ -89,22 +103,22 @@ class Emitter {
                ir_.superOf(static_cast<size_t>(all[to])) ==
                    ir_.superOf(static_cast<size_t>(all[to - 1])))
           to++;
-        const size_t k = decls.size();
-        decls.push_back(strfmt("  void chunk_%zu();\n", k));
+        const size_t k = defs.size();
         out_.clear();
-        out_ += strfmt("void %s::chunk_%zu() {\n", cn.c_str(), k);
+        out_ += strfmt("static void chunk_%zu(%s& s) {\n", k, cn.c_str());
         emitOpSeq(std::vector<int32_t>(all.begin() + static_cast<ptrdiff_t>(from),
                                        all.begin() + static_cast<ptrdiff_t>(to)),
                   "  ");
         out_ += "}\n\n";
         defs.push_back(std::move(out_));
+        calls.push_back(strfmt("  chunk_%zu(s);\n", k));
         from = to;
       }
     }
 
     // finish_(): side effects + phase-2 state updates + cycle count.
     out_.clear();
-    out_ += strfmt("void %s::finish_() {\n", cn.c_str());
+    out_ += strfmt("void finish_(%s& s) {\n", cn.c_str());
     emitPrintsAndStops("  ");
     if (opts_.ccss) {
       for (const auto& rw : sched_->deferredRegs) emitRegWrite(rw.regIdx, &rw.wakeParts, "  ");
@@ -117,12 +131,12 @@ class Emitter {
         for (size_t w = 0; w < ir_.mems[m].writers.size(); w++)
           emitMemWrite(static_cast<int32_t>(m), static_cast<int32_t>(w), nullptr, "  ");
     }
-    out_ += "  cycles_++;\n}\n";
+    out_ += "  s.cycles_++;\n}\n\n";
     const std::string finishDef = std::move(out_);
 
     // Contiguous assignment of work functions to units, balanced by
-    // emitted byte count (schedule order is preserved by the call sites,
-    // so placement only affects compile-time balance).
+    // emitted byte count (schedule order is preserved by the sweeps, so
+    // placement only affects compile-time balance).
     const uint32_t S = std::max<uint32_t>(
         1, std::min<uint32_t>(shards, static_cast<uint32_t>(std::max<size_t>(1, defs.size()))));
     size_t totalBytes = 0;
@@ -138,60 +152,33 @@ class Emitter {
       }
     }
 
-    // eval(): the only cross-unit glue; lives in unit 0.
+    Units u;
     out_.clear();
-    out_ += strfmt("void %s::eval() {\n", cn.c_str());
-    if (opts_.ccss) {
-      out_ += "  // 1. external input change detection\n";
-      emitInputSweep("  ");
-      out_ += "  first_cycle_ = false;\n";
-      out_ += "  // 2. singular static partition sweep, one chunk per unit\n";
-      for (uint32_t k = 0; k < S; k++) out_ += strfmt("  sweepChunk_%u();\n", k);
-    } else {
-      for (size_t j = 0; j < defs.size(); j++) out_ += strfmt("  chunk_%zu();\n", j);
-    }
-    out_ += "  // side effects + phase-2 state updates\n  finish_();\n}\n";
-    const std::string evalDef = std::move(out_);
-
-    // Header: struct definition with member state + method declarations.
-    out_.clear();
-    emitPreamble();
-    emitMembers();
-    out_ += strfmt("  // --- evaluation (definitions sharded across %u translation units) ---\n",
-                   S);
-    for (const auto& d : decls) out_ += d;
-    if (opts_.ccss)
-      for (uint32_t k = 0; k < S; k++) out_ += strfmt("  void sweepChunk_%u();\n", k);
-    out_ += "  void finish_();\n  void eval();\n";
-    out_ += "};\n\n}  // namespace essent_gen\n";
-    sh.header = "#pragma once\n" + out_;
-
+    emitHeader(S);
+    u.header = std::move(out_);
     for (uint32_t k = 0; k < S; k++) {
-      sh.unitNames.push_back(strfmt("%s_%u.cpp", base.c_str(), k));
-      std::string u = strfmt(
-          "// Generated by essent-cpp (unit %u of %u). Do not edit.\n"
-          "#include \"%s.h\"\n\nnamespace essent_gen {\n\n",
-          k, S, base.c_str());
-      for (size_t i = range[k].first; i < range[k].second; i++) u += defs[i];
-      if (opts_.ccss) {
-        u += strfmt("void %s::sweepChunk_%u() {\n", cn.c_str(), k);
-        for (size_t i = range[k].first; i < range[k].second; i++)
-          u += strfmt("  if (act_[%zu]) part_%zu();\n", i, i);
-        u += "}\n\n";
+      std::string unit;
+      for (size_t i = range[k].first; i < range[k].second; i++) unit += defs[i];
+      unit += strfmt("void sweep_%u(%s& s) {\n", k, cn.c_str());
+      for (size_t i = range[k].first; i < range[k].second; i++) unit += calls[i];
+      unit += "}\n\n";
+      if (k + 1 == S) unit += finishDef;
+      if (k == 0) {
+        out_.clear();
+        emitConstructorAndEval(S);
+        unit += out_;
       }
-      if (k + 1 == S) u += finishDef + "\n";
-      if (k == 0) u += evalDef + "\n";
-      u += "}  // namespace essent_gen\n";
-      sh.units.push_back(std::move(u));
+      u.units.push_back(std::move(unit));
     }
-    return sh;
+    return u;
   }
 
  private:
   const SimIR& ir_;
   const CondPartSchedule* sched_;
   CodegenOptions opts_;
-  std::vector<std::string> names_;
+  sim::Layout layout_;
+  std::vector<std::string> names_;  // "s." + memberName
   std::string out_;
   int32_t resetSig_ = -1;
   // Number of consumers of each signal across the whole program; named
@@ -245,7 +232,13 @@ class Emitter {
     return strfmt("(uint64_t)sx_(%s, %u)", name(sig).c_str(), width(sig));
   }
 
-  void emitPreamble() {
+  static std::string memArray(const sim::MemInfo& m) { return "mem_" + sanitizeIdent(m.name); }
+
+  // The shared declarations: helpers, the simulator struct (ports as named
+  // members, every other signal in the st_ arena) and the S sweeps plus
+  // finish_() that eval() calls across units.
+  void emitHeader(uint32_t S) {
+    const std::string& cn = opts_.className;
     out_ +=
         "// Generated by essent-cpp (ESSENT reproduction). Do not edit.\n"
         "#include <cstdint>\n#include <cstdio>\n\n"
@@ -259,37 +252,72 @@ class Emitter {
         "static inline void printBin_(uint64_t v, int w) {\n"
         "  for (int i = w - 1; i >= 0; i--) std::putchar(((v >> i) & 1) ? '1' : '0');\n"
         "}\n\n";
-    out_ += "struct " + opts_.className + " {\n";
-  }
-
-  void emitMembers() {
-    // Constants are folded into member initializers and never re-evaluated.
-    std::vector<int32_t> constPoolOf(ir_.signals.size(), -1);
-    for (const auto& op : ir_.ops)
-      if (op.code == OpCode::Const) constPoolOf[static_cast<size_t>(op.dest)] =
-          static_cast<int32_t>(op.imm0);
-    out_ += "  // --- design state (one member per signal) ---\n";
+    out_ += "struct " + cn + " {\n";
+    out_ += "  // --- top-level ports ---\n";
     for (size_t s = 0; s < ir_.signals.size(); s++) {
-      if (ir_.signals[s].kind == SigKind::Dead) continue;
+      const auto& sig = ir_.signals[s];
+      if (!isPort(sig)) continue;
+      const int32_t def = sig.defOp;
       std::string init = "0";
-      if (constPoolOf[s] >= 0)
-        init = "0x" + ir_.constPool[static_cast<size_t>(constPoolOf[s])].toHexString() + "ull";
-      out_ += strfmt("  uint64_t %s = %s;  // width %u%s\n", names_[s].c_str(), init.c_str(),
-                     ir_.signals[s].width, ir_.signals[s].isSigned ? " (signed)" : "");
+      if (def >= 0 && ir_.ops[static_cast<size_t>(def)].code == OpCode::Const)
+        init = constLiteral(ir_.ops[static_cast<size_t>(def)]);
+      const std::string member = names_[s].substr(2);  // drop "s."
+      out_ += strfmt("  uint64_t %s = %s;  // width %u%s\n", member.c_str(), init.c_str(),
+                     sig.width, sig.isSigned ? " (signed)" : "");
     }
-    for (const auto& m : ir_.mems) {
-      out_ += strfmt("  uint64_t mem_%s[%llu] = {};\n", sanitizeIdent(m.name).c_str(),
+    out_ += "  // --- every other signal: one word at its layout offset ---\n";
+    out_ += strfmt("  uint64_t st_[%u] = {};\n", layout_.totalWords);
+    for (const auto& m : ir_.mems)
+      out_ += strfmt("  uint64_t %s[%llu] = {};\n", memArray(m).c_str(),
                      static_cast<unsigned long long>(m.depth));
-    }
     out_ += "  uint64_t cycles_ = 0;\n  bool stopped_ = false;\n  int exit_code_ = 0;\n";
     if (opts_.ccss) {
       out_ += strfmt("  bool act_[%zu];\n", sched_->parts.size());
-      for (int32_t in : ir_.inputs)
-        out_ += strfmt("  uint64_t prev_%s = 0;\n", name(in).c_str());
+      if (!ir_.inputs.empty())
+        out_ += strfmt("  uint64_t prev_[%zu] = {};  // last seen input values\n",
+                       ir_.inputs.size());
       out_ += "  bool first_cycle_ = true;\n";
-      out_ += strfmt("  %s() { for (auto& a : act_) a = true; }\n", opts_.className.c_str());
     }
-    out_ += "\n";
+    out_ += "  " + cn + "();\n";
+    out_ += "  void eval();  // advances one clock cycle\n";
+    out_ += "};\n\n";
+    out_ += strfmt("// --- evaluation: one sweep per translation unit (%u), then finish_() ---\n",
+                   S);
+    for (uint32_t k = 0; k < S; k++) out_ += strfmt("void sweep_%u(%s& s);\n", k, cn.c_str());
+    out_ += strfmt("void finish_(%s& s);\n", cn.c_str());
+    out_ += "\n}  // namespace essent_gen\n";
+  }
+
+  std::string constLiteral(const Op& op) const {
+    return "0x" + ir_.constPool[static_cast<size_t>(op.imm0)].toHexString() + "ull";
+  }
+
+  // The constructor sets every constant once from an {offset, value} table
+  // (constants are never re-evaluated) and marks every partition active;
+  // eval() detects input changes, then runs the unit sweeps and finish_().
+  void emitConstructorAndEval(uint32_t S) {
+    const std::string& cn = opts_.className;
+    std::string table;
+    for (const auto& op : ir_.ops)
+      if (op.code == OpCode::Const && !isPort(ir_.signals[static_cast<size_t>(op.dest)]))
+        table += strfmt("    {%u, %s},\n", layout_.offset[static_cast<size_t>(op.dest)],
+                        constLiteral(op).c_str());
+    out_ += strfmt("%s::%s() {\n", cn.c_str(), cn.c_str());
+    if (!table.empty()) {
+      out_ += "  static const struct { uint32_t k; uint64_t v; } kConsts[] = {\n" + table;
+      out_ += "  };\n  for (const auto& c : kConsts) st_[c.k] = c.v;\n";
+    }
+    if (opts_.ccss) out_ += "  for (auto& a : act_) a = true;\n";
+    out_ += "}\n\n";
+    out_ += strfmt("void %s::eval() {\n  %s& s = *this;\n", cn.c_str(), cn.c_str());
+    if (opts_.ccss) {
+      out_ += "  // 1. external input change detection\n";
+      emitInputSweep("  ");
+      out_ += "  s.first_cycle_ = false;\n";
+      out_ += "  // 2. singular static partition sweep, one sweep per unit\n";
+    }
+    for (uint32_t k = 0; k < S; k++) out_ += strfmt("  essent_gen::sweep_%u(s);\n", k);
+    out_ += "  // side effects + phase-2 state updates\n  essent_gen::finish_(s);\n}\n\n";
   }
 
   // RHS expression implementing `op` (pre-mask); mirrors sim/op_eval.h's
@@ -403,8 +431,8 @@ class Emitter {
                       ir_.constPool[static_cast<size_t>(op.imm0)].toHexString().c_str());
       case OpCode::MemRead: {
         const auto& m = ir_.mems[static_cast<size_t>(op.imm0)];
-        return strfmt("((%s != 0 && %s < %llu) ? mem_%s[%s] : 0)", B().c_str(), A().c_str(),
-                      static_cast<unsigned long long>(m.depth), sanitizeIdent(m.name).c_str(),
+        return strfmt("((%s != 0 && %s < %llu) ? s.%s[%s] : 0)", B().c_str(), A().c_str(),
+                      static_cast<unsigned long long>(m.depth), memArray(m).c_str(),
                       A().c_str());
       }
     }
@@ -420,8 +448,8 @@ class Emitter {
   // Emits a sequence of ops (ascending topo order). With muxShadow on, any
   // op whose result is consumed only inside one arm of a mux in the same
   // sequence is sunk into that arm's branch, so the untaken way costs
-  // nothing. Constants never appear here (they are hoisted into member
-  // initializers).
+  // nothing. Constants never appear here (they are set once by the
+  // constructor).
   // Emits positions [from, to) of `ops` as a convergence loop over a
   // combinational-loop supernode (paper §II).
   size_t emitSuperRun(const std::vector<int32_t>& ops, size_t from, const std::string& indent) {
@@ -538,7 +566,7 @@ class Emitter {
     if (wakeParts) {
       out_ += indent + strfmt("if (%s != %s) {\n", name(r.sig).c_str(), name(r.next).c_str());
       out_ += indent + strfmt("  %s = %s;\n", name(r.sig).c_str(), name(r.next).c_str());
-      for (int32_t p : *wakeParts) out_ += indent + strfmt("  act_[%d] = true;\n", p);
+      for (int32_t p : *wakeParts) out_ += indent + strfmt("  s.act_[%d] = true;\n", p);
       out_ += indent + "}\n";
     } else {
       out_ += indent + strfmt("%s = %s;\n", name(r.sig).c_str(), name(r.next).c_str());
@@ -549,7 +577,7 @@ class Emitter {
                     const std::string& indent) {
     const auto& m = ir_.mems[static_cast<size_t>(memIdx)];
     const auto& w = m.writers[static_cast<size_t>(writerIdx)];
-    std::string arr = "mem_" + sanitizeIdent(m.name);
+    std::string arr = "s." + memArray(m);
     out_ += indent + strfmt("if (%s && %s && %s < %llu) {\n", name(w.en).c_str(),
                             name(w.mask).c_str(), name(w.addr).c_str(),
                             static_cast<unsigned long long>(m.depth));
@@ -558,7 +586,7 @@ class Emitter {
                               name(w.data).c_str());
       out_ += indent + strfmt("    %s[%s] = %s;\n", arr.c_str(), name(w.addr).c_str(),
                               name(w.data).c_str());
-      for (int32_t p : *wakeParts) out_ += indent + strfmt("    act_[%d] = true;\n", p);
+      for (int32_t p : *wakeParts) out_ += indent + strfmt("    s.act_[%d] = true;\n", p);
       out_ += indent + "  }\n";
     } else {
       out_ += indent + strfmt("  %s[%s] = %s;\n", arr.c_str(), name(w.addr).c_str(),
@@ -634,7 +662,8 @@ class Emitter {
       out_ += indent + "}\n";
     }
     for (const auto& st : ir_.stops) {
-      out_ += indent + strfmt("if (%s && !stopped_)%s { stopped_ = true; exit_code_ = %d; }\n",
+      out_ += indent + strfmt("if (%s && !s.stopped_)%s { s.stopped_ = true; "
+                              "s.exit_code_ = %d; }\n",
                               name(st.en).c_str(), hint, st.exitCode);
     }
     for (const auto& a : ir_.asserts) {
@@ -646,20 +675,20 @@ class Emitter {
         else if (c == '%') msg += "%%";
         else msg += c;
       }
-      out_ += indent + strfmt("if (%s && !%s && !stopped_)%s { std::printf(\"assertion "
-                              "failed: %s\\n\"); stopped_ = true; exit_code_ = 65; }\n",
+      out_ += indent + strfmt("if (%s && !%s && !s.stopped_)%s { std::printf(\"assertion "
+                              "failed: %s\\n\"); s.stopped_ = true; s.exit_code_ = 65; }\n",
                               name(a.en).c_str(), name(a.pred).c_str(), hint, msg.c_str());
     }
   }
 
-  // One partition function; `sig` is the full signature (in-class or
-  // out-of-line qualified), `ind` the body indentation, `close` the line
-  // ending the definition.
-  void emitPartitionFunction(size_t pos, const std::string& sig, const std::string& ind,
-                             const std::string& close) {
+  // One partition function: clears its own activity flag, saves its
+  // outputs' old values, evaluates, then wakes the consumers of each output
+  // that changed.
+  void emitPartitionFunction(size_t pos) {
     const auto& part = sched_->parts[pos];
-    out_ += sig + " {\n";
-    out_ += ind + strfmt("act_[%zu] = false;\n", pos);
+    out_ += strfmt("static void part_%zu(%s& s) {\n", pos, opts_.className.c_str());
+    const std::string ind = "  ";
+    out_ += ind + strfmt("s.act_[%zu] = false;\n", pos);
     for (size_t oi = 0; oi < part.outputs.size(); oi++)
       out_ += ind + strfmt("const uint64_t old%zu_ = %s;\n", oi,
                            name(part.outputs[oi].sig).c_str());
@@ -672,58 +701,20 @@ class Emitter {
       // Branchless OR-reduction trigger (Figure 1).
       out_ += ind + strfmt("{ const bool ch%zu_ = old%zu_ != %s;\n", oi, oi,
                            name(o.sig).c_str());
-      for (int32_t c : o.consumers) out_ += ind + strfmt("  act_[%d] |= ch%zu_;\n", c, oi);
+      for (int32_t c : o.consumers) out_ += ind + strfmt("  s.act_[%d] |= ch%zu_;\n", c, oi);
       out_ += ind + "}\n";
     }
-    out_ += close;
-  }
-
-  void emitPartitionFunctions() {
-    for (size_t pos = 0; pos < sched_->parts.size(); pos++)
-      emitPartitionFunction(pos, strfmt("  void part_%zu()", pos), "    ", "  }\n");
-    out_ += "\n";
+    out_ += "}\n\n";
   }
 
   void emitInputSweep(const std::string& ind) {
     for (size_t i = 0; i < ir_.inputs.size(); i++) {
-      int32_t in = ir_.inputs[i];
-      out_ += ind + strfmt("if (first_cycle_ || %s != prev_%s) {\n", name(in).c_str(),
-                           name(in).c_str());
-      for (int32_t p : sched_->inputConsumers[i]) out_ += ind + strfmt("  act_[%d] = true;\n", p);
-      out_ += ind + strfmt("  prev_%s = %s;\n", name(in).c_str(), name(in).c_str());
+      const std::string& in = name(ir_.inputs[i]);
+      out_ += ind + strfmt("if (s.first_cycle_ || %s != s.prev_[%zu]) {\n", in.c_str(), i);
+      for (int32_t p : sched_->inputConsumers[i]) out_ += ind + strfmt("  s.act_[%d] = true;\n", p);
+      out_ += ind + strfmt("  s.prev_[%zu] = %s;\n", i, in.c_str());
       out_ += ind + "}\n";
     }
-  }
-
-  void emitEval() {
-    out_ += "  // Advances one clock cycle (combinational settle + side effects +\n";
-    out_ += "  // state update).\n";
-    out_ += "  void eval() {\n";
-    if (!opts_.ccss) {
-      std::vector<int32_t> all(ir_.ops.size());
-      for (size_t i = 0; i < all.size(); i++) all[i] = static_cast<int32_t>(i);
-      emitOpSeq(all, "    ");
-      emitPrintsAndStops("    ");
-      for (size_t r = 0; r < ir_.regs.size(); r++)
-        emitRegWrite(static_cast<int32_t>(r), nullptr, "    ");
-      for (size_t m = 0; m < ir_.mems.size(); m++)
-        for (size_t w = 0; w < ir_.mems[m].writers.size(); w++)
-          emitMemWrite(static_cast<int32_t>(m), static_cast<int32_t>(w), nullptr, "    ");
-    } else {
-      out_ += "    // 1. external input change detection\n";
-      emitInputSweep("    ");
-      out_ += "    first_cycle_ = false;\n";
-      out_ += "    // 2. singular static partition sweep\n";
-      for (size_t pos = 0; pos < sched_->parts.size(); pos++)
-        out_ += strfmt("    if (act_[%zu]) part_%zu();\n", pos, pos);
-      out_ += "    // 3. side effects\n";
-      emitPrintsAndStops("    ");
-      out_ += "    // 4. phase 2: non-elided state elements\n";
-      for (const auto& rw : sched_->deferredRegs) emitRegWrite(rw.regIdx, &rw.wakeParts, "    ");
-      for (const auto& mw : sched_->deferredMemWrites)
-        emitMemWrite(mw.memIdx, mw.writerIdx, &mw.wakeParts, "    ");
-    }
-    out_ += "    cycles_++;\n  }\n";
   }
 };
 
@@ -732,20 +723,31 @@ class Emitter {
 std::string emitCpp(const SimIR& ir, const CondPartSchedule* schedule,
                     const CodegenOptions& opts) {
   obs::ScopedPhaseTimer phaseTimer("codegen");
-  Emitter e(ir, schedule, opts);
-  return e.run();
+  Units u = Emitter(ir, schedule, opts).run(1);
+  return u.header + "\nnamespace essent_gen {\n\n" + u.units[0] + "}  // namespace essent_gen\n";
 }
 
 ShardedCpp emitCppSharded(const SimIR& ir, const CondPartSchedule* schedule,
                           const CodegenOptions& opts, uint32_t shards,
                           const std::string& base) {
   obs::ScopedPhaseTimer phaseTimer("codegen");
-  Emitter e(ir, schedule, opts);
-  return e.runSharded(shards, base);
+  Units u = Emitter(ir, schedule, opts).run(shards);
+  ShardedCpp sh;
+  sh.headerName = base + ".h";
+  sh.header = "#pragma once\n" + u.header;
+  const size_t S = u.units.size();
+  for (size_t k = 0; k < S; k++) {
+    sh.unitNames.push_back(strfmt("%s_%zu.cpp", base.c_str(), k));
+    sh.units.push_back(strfmt("// Generated by essent-cpp (unit %zu of %zu). Do not edit.\n"
+                              "#include \"%s\"\n\nnamespace essent_gen {\n\n",
+                              k, S, sh.headerName.c_str()) +
+                       u.units[k] + "}  // namespace essent_gen\n");
+  }
+  return sh;
 }
 
 std::string memberName(const SimIR& ir, int32_t sig) {
-  return buildNames(ir)[static_cast<size_t>(sig)];
+  return buildNames(ir, sim::Layout::build(ir))[static_cast<size_t>(sig)];
 }
 
 }  // namespace essent::codegen

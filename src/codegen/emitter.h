@@ -1,8 +1,16 @@
 // C++ code generation backend: the analogue of ESSENT's output. Given a
-// SimIR (and, for CCSS mode, a CondPartSchedule), emits a self-contained
-// C++17 translation unit defining a `struct <className>` with one public
-// member per named signal, backdoor-accessible memories, and an eval()
-// advancing one clock cycle.
+// SimIR (and, for CCSS mode, a CondPartSchedule), emits C++20 source
+// defining a `struct <className>` and an eval() advancing one clock cycle.
+//
+// State layout: top-level ports are named public members (`sim.reset`),
+// every other signal is one word of the `uint64_t st_[]` arena at its
+// sim::Layout offset (memberName() gives the spelling, e.g. `st_[17]`), and
+// memories are `mem_<name>` arrays. Constants are set once by the
+// out-of-line constructor from an {offset, value} table. Evaluation code is
+// file-static free functions over `Simulator&`, so the struct declares no
+// member per signal or partition and the host compiler's cost grows with
+// the code, not with the state (a struct of 16k initialized members alone
+// costs g++ seconds).
 //
 // Two modes, mirroring the paper's evaluation configurations:
 //  * baseline  — straight-line full-cycle evaluation (static schedule, no
@@ -49,14 +57,16 @@ class CodegenError : public std::runtime_error {
 std::string emitCpp(const sim::SimIR& ir, const core::CondPartSchedule* schedule,
                     const CodegenOptions& opts = {});
 
-// Sharded emission for million-node designs, where a single translation
-// unit would stall (or OOM) the host C++ compiler: `header` declares the
-// simulator struct and `units[k]` defines a slice of its evaluation code,
-// so the units compile in parallel and each stays a tractable size.
-// Partition functions (CCSS) / schedule chunks (baseline) are assigned to
-// units in schedule order, balanced by emitted byte count; unit 0 defines
-// eval(). Write `header` as `<base>.h` and unit k as `<base>_<k>.cpp` —
-// every unit includes the header by that name.
+// Sharded emission for large designs, where a single translation unit would
+// stall the host C++ compiler: `header` declares the simulator struct plus
+// one sweep function per unit and finish_() (O(shards) declarations,
+// whatever the design size), and `units[k]` defines a slice of the
+// evaluation code, so the units compile in parallel and each stays a
+// tractable size. Partition functions (CCSS) / schedule chunks (baseline)
+// are assigned to units in schedule order, balanced by emitted byte count;
+// unit 0 also defines the constructor and eval(). Write `header` as
+// `<base>.h` and unit k as `<base>_<k>.cpp` — every unit includes the
+// header by that name. emitCpp() is the one-unit case, concatenated.
 struct ShardedCpp {
   std::string headerName;             // "<base>.h"
   std::string header;
@@ -70,8 +80,9 @@ ShardedCpp emitCppSharded(const sim::SimIR& ir, const core::CondPartSchedule* sc
                           const CodegenOptions& opts, uint32_t shards,
                           const std::string& base = "sim");
 
-// The C identifier used for a signal in generated code (stable mapping,
-// collision-free); exposed so harnesses can address generated members.
+// The member expression for a signal in generated code: the port's name,
+// or `st_[k]` with k its sim::Layout offset. Stable and collision-free;
+// harnesses address a signal as `sim.` + memberName(ir, sig).
 std::string memberName(const sim::SimIR& ir, int32_t sig);
 
 }  // namespace essent::codegen

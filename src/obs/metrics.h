@@ -10,8 +10,8 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -34,11 +34,20 @@ class MetricCounter {
 // Last-write-wins double value (e.g. a ratio or queue depth).
 class MetricGauge {
  public:
-  void set(double v) { bits_.store(std::bit_cast<uint64_t>(v), std::memory_order_relaxed); }
-  double value() const { return std::bit_cast<double>(bits_.load(std::memory_order_relaxed)); }
+  void set(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    bits_.store(bits, std::memory_order_relaxed);
+  }
+  double value() const {
+    const uint64_t bits = bits_.load(std::memory_order_relaxed);
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+  }
 
  private:
-  std::atomic<uint64_t> bits_{std::bit_cast<uint64_t>(0.0)};
+  std::atomic<uint64_t> bits_{0};  // the bit pattern of 0.0
 };
 
 struct LatencySnapshot {
@@ -74,7 +83,8 @@ class LatencyHistogram {
   LatencySnapshot snapshot() const;
 
   static size_t bucketIndex(uint64_t ns) {
-    size_t i = static_cast<size_t>(std::bit_width(ns));  // 0 for ns == 0
+    // The bit width of ns: 0 for ns == 0 (__builtin_clzll(0) is undefined).
+    size_t i = ns == 0 ? 0 : static_cast<size_t>(64 - __builtin_clzll(ns));
     return i < kBuckets ? i : kBuckets - 1;
   }
 

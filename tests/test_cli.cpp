@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -12,6 +13,9 @@
 
 #ifndef ESSENTC_PATH
 #error "ESSENTC_PATH must be defined by the build"
+#endif
+#ifndef EXAMPLES_DIR
+#error "EXAMPLES_DIR must be defined by the build"
 #endif
 
 namespace {
@@ -21,11 +25,12 @@ struct CliResult {
   std::string output;  // stdout + stderr
 };
 
-CliResult runCli(const std::string& args) {
+// `env` is prepended to the command line, e.g. "ESSENT_THREADS=1 ".
+CliResult runCli(const std::string& args, const std::string& env = "") {
   char dirTemplate[] = "/tmp/essent_cli_XXXXXX";
   char* dir = mkdtemp(dirTemplate);
   std::string outFile = std::string(dir) + "/out.txt";
-  std::string cmd = std::string(ESSENTC_PATH) + " " + args + " > " + outFile + " 2>&1";
+  std::string cmd = env + ESSENTC_PATH + " " + args + " > " + outFile + " 2>&1";
   int rc = std::system(cmd.c_str());
   CliResult res;
   res.exitCode = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
@@ -146,6 +151,57 @@ TEST(Cli, CompileRunCrossChecksInterpreter) {
   EXPECT_NE(res.output.find("outputs match the interpreter"), std::string::npos);
   auto bad = runCli("--compile-run 5 --poke nosuch=1 " + fir);
   EXPECT_NE(bad.exitCode, 0);
+}
+
+// --shards N compiles the generated units concurrently and links them; the
+// result must pass the same interpreter cross-check, with the same outputs
+// as the one-file compile, in both CCSS and baseline modes.
+TEST(Cli, CompileRunShardedCrossChecksInterpreter) {
+  const std::string fir =
+      "--poke start=1 --poke a=48 --poke b=36 " + std::string(EXAMPLES_DIR) + "/gcd.fir";
+  auto outputs = [](const std::string& text) {
+    std::string lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+      if (line.find("(matches interpreter)") != std::string::npos) lines += line + "\n";
+    return lines;
+  };
+  for (const char* mode : {"", "--baseline "}) {
+    auto sharded = runCli(std::string("--compile-run 200 --shards 2 ") + mode + fir);
+    EXPECT_EQ(sharded.exitCode, 0) << sharded.output;
+    EXPECT_NE(sharded.output.find("in 2 units"), std::string::npos) << sharded.output;
+    EXPECT_NE(sharded.output.find("outputs match the interpreter"), std::string::npos)
+        << sharded.output;
+    auto single = runCli(std::string("--compile-run 200 ") + mode + fir);
+    EXPECT_EQ(single.exitCode, 0) << single.output;
+    EXPECT_EQ(outputs(sharded.output), outputs(single.output));
+    EXPECT_NE(outputs(sharded.output).find("result = 0x"), std::string::npos) << sharded.output;
+  }
+}
+
+// After a unit fails to compile no further compile is started. A stand-in
+// compiler that logs its calls and always fails, one compile at a time:
+// exactly one call, then exit 1 with the scratch directory kept.
+TEST(Cli, CompileRunStartsNoCompileAfterAFailure) {
+  char dirTemplate[] = "/tmp/essent_cli_cc_XXXXXX";
+  const std::string dir = mkdtemp(dirTemplate);
+  const std::string log = dir + "/calls.log";
+  std::ofstream(dir + "/c++") << "#!/bin/sh\necho \"$*\" >> '" << log << "'\nexit 1\n";
+  std::filesystem::permissions(dir + "/c++", std::filesystem::perms::owner_all);
+  auto res = runCli("--compile-run 5 --shards 2 " + std::string(EXAMPLES_DIR) + "/gcd.fir",
+                    "PATH='" + dir + "':\"$PATH\" ESSENT_THREADS=1 ");
+  EXPECT_EQ(res.exitCode, 1) << res.output;
+  EXPECT_NE(res.output.find("in 2 units"), std::string::npos) << res.output;
+  std::ifstream calls(log);
+  size_t n = 0;
+  for (std::string line; std::getline(calls, line);) n++;
+  EXPECT_EQ(n, 1u) << res.output;
+  const std::string kept = "source kept at ";
+  const size_t at = res.output.find(kept);
+  ASSERT_NE(at, std::string::npos) << res.output;
+  const size_t end = res.output.find(')', at);
+  std::filesystem::remove_all(res.output.substr(at + kept.size(), end - at - kept.size()));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, EngineLongAliasesAccepted) {

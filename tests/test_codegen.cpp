@@ -32,6 +32,8 @@ CondPartSchedule makeSchedule(const SimIR& ir) {
   return core::buildSchedule(Netlist::build(ir), ScheduleOptions{});
 }
 
+// Ports are named struct members; every other signal (here the register
+// r) is a word of the st_ arena, not a member of its own.
 TEST(Codegen, EmitsStructWithNamedMembers) {
   SimIR ir = sim::buildFromFirrtl(designs::counterFirrtl(8));
   CodegenOptions opts;
@@ -39,8 +41,13 @@ TEST(Codegen, EmitsStructWithNamedMembers) {
   std::string code = emitCpp(ir, nullptr, opts);
   EXPECT_NE(code.find("struct Simulator"), std::string::npos);
   EXPECT_NE(code.find("uint64_t count = 0"), std::string::npos);
-  EXPECT_NE(code.find("uint64_t r = 0"), std::string::npos);
+  EXPECT_NE(code.find("uint64_t en = 0"), std::string::npos);
+  EXPECT_NE(code.find("uint64_t reset = 0"), std::string::npos);
+  EXPECT_NE(code.find("uint64_t st_["), std::string::npos);
+  EXPECT_EQ(code.find("uint64_t r = 0"), std::string::npos);
+  EXPECT_EQ(memberName(ir, ir.findSignal("r")).rfind("st_[", 0), 0u);
   EXPECT_NE(code.find("void eval()"), std::string::npos);
+  EXPECT_NE(code.find("void Simulator::eval()"), std::string::npos);
   // Baseline mode has no activity machinery.
   EXPECT_EQ(code.find("act_["), std::string::npos);
 }
@@ -50,7 +57,7 @@ TEST(Codegen, CcssModeEmitsPartitionsAndTriggers) {
   CondPartSchedule sched = makeSchedule(ir);
   std::string code = emitCpp(ir, &sched, CodegenOptions{});
   EXPECT_NE(code.find("bool act_["), std::string::npos);
-  EXPECT_NE(code.find("void part_0()"), std::string::npos);
+  EXPECT_NE(code.find("static void part_0(Simulator& s)"), std::string::npos);
   EXPECT_NE(code.find("first_cycle_"), std::string::npos);
   // Push-direction triggering via OR-reduction.
   EXPECT_NE(code.find("|= ch"), std::string::npos);
@@ -113,10 +120,20 @@ circuit C :
   CodegenOptions opts;
   opts.ccss = false;
   std::string code = emitCpp(ir, nullptr, opts);
-  EXPECT_NE(code.find("= 0xab"), std::string::npos);
-  // No per-cycle constant assignment in eval().
-  size_t evalPos = code.find("void eval()");
-  EXPECT_EQ(code.find("= 0xabull;", evalPos), std::string::npos);
+  // The constant's arena word is set once, from the constructor's table.
+  int32_t k = -1;
+  for (const sim::Op& op : ir.ops)
+    if (op.code == sim::OpCode::Const) k = op.dest;
+  ASSERT_GE(k, 0);
+  const uint32_t off = sim::Layout::build(ir).offset[static_cast<size_t>(k)];
+  const size_t entry = code.find(strfmt("{%u, 0xabull}", off));
+  EXPECT_NE(entry, std::string::npos) << code;
+  EXPECT_LT(code.find("kConsts[]"), entry);
+  EXPECT_LT(code.find("Simulator::Simulator()"), entry);
+  // No per-cycle constant assignment anywhere: not in eval(), not in the
+  // work functions it calls.
+  EXPECT_EQ(code.find("= 0xabull;"), std::string::npos);
+  EXPECT_EQ(code.find(memberName(ir, k) + " ="), std::string::npos);
 }
 
 TEST(Codegen, RejectsWideSignals) {
@@ -128,6 +145,61 @@ circuit W :
     o <= pad(a, 80)
 )");
   EXPECT_THROW(emitCpp(ir, nullptr, CodegenOptions{"S", false, true}), CodegenError);
+}
+
+// Every signal that is not a top-level port lives at its interpreter
+// layout offset in the st_ arena; ports keep their names.
+TEST(Codegen, ArenaIndexIsLayoutOffset) {
+  SimIR ir = sim::buildFromFirrtl(designs::gcdFirrtl(16));
+  const sim::Layout layout = sim::Layout::build(ir);
+  size_t arena = 0, ports = 0;
+  for (size_t s = 0; s < ir.signals.size(); s++) {
+    const sim::Signal& sig = ir.signals[s];
+    const std::string n = memberName(ir, static_cast<int32_t>(s));
+    if (sig.kind == sim::SigKind::Input || sig.kind == sim::SigKind::Output) {
+      EXPECT_EQ(n, sig.name);
+      ports++;
+    } else {
+      EXPECT_EQ(n, "st_[" + std::to_string(layout.offset[s]) + "]") << sig.name;
+      arena++;
+    }
+  }
+  EXPECT_EQ(ports, ir.inputs.size() + ir.outputs.size());
+  EXPECT_GT(arena, 0u);
+  std::string code = emitCpp(ir, nullptr, CodegenOptions{"Simulator", false, true});
+  EXPECT_NE(code.find(strfmt("uint64_t st_[%u] = {};", layout.totalWords)), std::string::npos);
+}
+
+// The sharded header declares the ports, the arena and O(shards) functions:
+// its declaration count does not grow with the design, and no partition
+// function is declared in it.
+TEST(Codegen, ShardedHeaderSizeIndependentOfDesign) {
+  auto declLines = [](const std::string& text) {
+    size_t n = 0;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) n += line.find(';') != std::string::npos;
+    return n;
+  };
+  for (bool ccss : {false, true}) {
+    size_t lines[2];
+    size_t bytes[2];
+    const uint32_t sizes[2] = {4, 32};
+    for (int d = 0; d < 2; d++) {
+      SimIR ir = sim::buildFromFirrtl(designs::aluArrayFirrtl(sizes[d], sizes[d]));
+      CondPartSchedule sched = makeSchedule(ir);
+      CodegenOptions opts;
+      opts.ccss = ccss;
+      ShardedCpp sh = emitCppSharded(ir, ccss ? &sched : nullptr, opts, 4, "alu");
+      EXPECT_EQ(sh.units.size(), 4u);
+      EXPECT_EQ(sh.header.find("part_"), std::string::npos) << sh.header;
+      EXPECT_EQ(sh.header.find("chunk_"), std::string::npos) << sh.header;
+      lines[d] = declLines(sh.header);
+      bytes[d] = 0;
+      for (const std::string& u : sh.units) bytes[d] += u.size();
+    }
+    EXPECT_EQ(lines[0], lines[1]) << (ccss ? "ccss" : "baseline");
+    EXPECT_GT(bytes[1], bytes[0]);  // the design itself did grow
+  }
 }
 
 TEST(Codegen, MemberNamesAreUniqueAndStable) {

@@ -14,6 +14,11 @@
 //
 // Options:
 //   -o FILE               output file for --emit-cpp / --dot
+//   --shards N            split the generated C++ into N translation units:
+//                         --emit-cpp writes <base>.h and <base>_<k>.cpp next
+//                         to -o; --compile-run compiles the units (one
+//                         by default) concurrently ($ESSENT_THREADS, else
+//                         the core count, at a time) and links them
 //   --engine E            full | event | ccss | lane   (--run; default ccss;
 //                         long aliases full-cycle|event-driven|essent-ccss|
 //                         essent-lane also accepted — sim::parseEngineKind
@@ -77,6 +82,7 @@
 //        143 = SIGTERM); the signal is relayed to the compiler/simulator
 //        process group and scratch directories are still cleaned up
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -613,10 +619,37 @@ int runBatch(const Args& a, std::shared_ptr<const sim::CompiledDesign> design,
   return failures ? 1 : 0;
 }
 
-// Generates the CCSS simulator, compiles it with the host toolchain, runs
-// it for the requested cycles with the pokes applied, and cross-checks
-// every output port against the in-process interpreter. Both subprocesses
-// run under the --timeout-ms watchdog; a timeout exits 124.
+// Runs the compiles concurrently (at most defaultThreadCount() at once,
+// each under the watchdog), then the link. Returns the first failed result,
+// or the link's. After a failure no further compile is started; those in
+// flight finish or time out. The relay's latch stops every in-flight compile
+// on SIGINT/SIGTERM: each runShell poll loop escalates on its own child
+// group.
+support::ExecResult compileSimulator(const std::vector<std::string>& compileCmds,
+                                     const std::string& linkCmd, const support::RunOptions& ro) {
+  std::vector<std::optional<support::ExecResult>> results(compileCmds.size());
+  std::atomic<size_t> next{0};
+  std::atomic<bool> failed{false};
+  support::ThreadPool pool(static_cast<unsigned>(std::min<size_t>(
+      support::ThreadPool::defaultThreadCount(), compileCmds.size())));
+  pool.run([&](unsigned) {
+    for (size_t k = next++; k < compileCmds.size() && !failed; k = next++) {
+      results[k] = support::runShell(compileCmds[k], ro);
+      if (!results[k]->ok()) failed = true;
+    }
+  });
+  for (const auto& r : results)
+    if (r && r->interrupted) return *r;
+  for (const auto& r : results)
+    if (r && !r->ok()) return *r;
+  return support::runShell(linkCmd, ro);
+}
+
+// Generates the CCSS simulator, compiles it with the host toolchain (its
+// --shards units and main.cpp concurrently, then linked), runs it for the
+// requested cycles with the pokes applied, and cross-checks every output
+// port against the in-process interpreter. Every subprocess runs under the
+// --timeout-ms watchdog; a timeout exits 124.
 int runCompileRun(const Args& a, std::shared_ptr<const sim::CompiledDesign> design,
                   const support::ResourceGuard& guard) {
   const sim::SimIR& ir = design->ir;
@@ -632,45 +665,60 @@ int runCompileRun(const Args& a, std::shared_ptr<const sim::CompiledDesign> desi
   codegen::CodegenOptions co;
   co.ccss = !a.baseline;
   co.branchHints = a.hints;
-  std::string code =
-      codegen::emitCpp(ir, co.ccss ? &sched : nullptr, co);
+
+  // The harness: pokes, the cycle loop, then one line per output port. The
+  // simulator is static: at scale its state is larger than a thread stack.
+  std::ostringstream m;
+  m << "\nint main() {\n  static essent_gen::Simulator sim;\n";
+  if (a.injectHang) m << "  for (;;) {}\n";  // watchdog self-test
+  for (const auto& [name2, value] : a.pokes) {
+    int32_t sig = ir.findSignal(name2);
+    if (sig < 0) {
+      std::fprintf(stderr, "essentc: no signal named '%s'\n", name2.c_str());
+      return 1;
+    }
+    m << "  sim." << codegen::memberName(ir, sig) << " = " << value << "ull;\n";
+  }
+  m << "  for (unsigned long long c = 0; c < " << a.runCycles
+    << "ull && !sim.stopped_; c++) sim.eval();\n";
+  for (int32_t o : ir.outputs)
+    m << "  std::printf(\"" << ir.signals[static_cast<size_t>(o)].name
+      << "=%llx\\n\", (unsigned long long)sim." << codegen::memberName(ir, o) << ");\n";
+  m << "  return sim.exit_code_;\n}\n";
 
   // RAII scratch space: removed on every exit path (success, compile
   // failure, early errors) unless explicitly kept for debugging.
   support::TempDir dir("essentc_cr_XXXXXX");
-  std::string src = dir.file("sim.cpp");
-  {
-    std::ofstream f(src);
-    f << code;
-    f << "\nint main() {\n  essent_gen::Simulator sim;\n";
-    if (a.injectHang) f << "  for (;;) {}\n";  // watchdog self-test
-    for (const auto& [name2, value] : a.pokes) {
-      int32_t sig = ir.findSignal(name2);
-      if (sig < 0) {
-        std::fprintf(stderr, "essentc: no signal named '%s'\n", name2.c_str());
-        return 1;
-      }
-      f << "  sim." << codegen::memberName(ir, sig) << " = " << value << "ull;\n";
-    }
-    f << "  for (unsigned long long c = 0; c < " << a.runCycles
-      << "ull && !sim.stopped_; c++) sim.eval();\n";
-    for (int32_t o : ir.outputs)
-      f << "  std::printf(\"" << ir.signals[static_cast<size_t>(o)].name
-        << "=%llx\\n\", (unsigned long long)sim."
-        << codegen::memberName(ir, o) << ");\n";
-    f << "  return sim.exit_code_;\n}\n";
+  auto writeFile = [&](const std::string& name, const std::string& text) {
+    std::ofstream(dir.file(name)) << text;
+    return support::shellQuote(dir.file(name));
+  };
+  // The simulator as --shards units (one by default) plus main.cpp, each
+  // compiled to an object, then linked.
+  codegen::ShardedCpp sh = codegen::emitCppSharded(ir, co.ccss ? &sched : nullptr, co,
+                                                   std::max(1u, a.shards), "sim");
+  writeFile(sh.headerName, sh.header);
+  sh.unitNames.push_back("main.cpp");
+  sh.units.push_back("#include \"" + sh.headerName + "\"\n" + m.str());
+  const std::string cxx = "c++ -std=c++20 -O2";
+  const std::string bin = dir.file("sim");
+  std::vector<std::string> compileCmds;
+  std::string linkCmd = cxx + " -o " + support::shellQuote(bin);
+  size_t codeBytes = sh.header.size();
+  for (size_t k = 0; k < sh.units.size(); k++) {
+    codeBytes += sh.units[k].size();
+    const std::string obj = support::shellQuote(dir.file(sh.unitNames[k] + ".o"));
+    compileCmds.push_back(cxx + " -c -o " + obj + " " + writeFile(sh.unitNames[k], sh.units[k]));
+    linkCmd += " " + obj;
   }
+  std::fprintf(stderr, "essentc: compiling generated simulator (%zu bytes in %zu units)...\n",
+               codeBytes, sh.units.size() - 1);
   support::RunOptions ro;
   ro.timeoutMs = a.timeoutMs;
-  std::string bin = dir.file("sim");
-  std::string cmd =
-      "c++ -std=c++20 -O2 -o " + support::shellQuote(bin) + " " + support::shellQuote(src);
-  std::fprintf(stderr, "essentc: compiling generated simulator (%zu bytes)...\n",
-               code.size());
   support::ExecResult cc;
   {
     obs::TraceSpan span("compile-run.cc", obs::TraceCat::Busy, obs::TraceDetail::Phase);
-    cc = support::runShell(cmd, ro);
+    cc = compileSimulator(compileCmds, linkCmd, ro);
   }
   if (cc.interrupted) {
     std::fprintf(stderr, "essentc: host compilation %s\n", cc.describe().c_str());
@@ -678,13 +726,13 @@ int runCompileRun(const Args& a, std::shared_ptr<const sim::CompiledDesign> desi
   }
   if (cc.timedOut) {
     std::fprintf(stderr, "essentc: host compilation %s (source kept at %s)\n",
-                 cc.describe().c_str(), src.c_str());
+                 cc.describe().c_str(), dir.path().c_str());
     dir.keep();
     return 124;
   }
   if (!cc.ok()) {
     std::fprintf(stderr, "essentc: host compilation failed (%s; source kept at %s)\n",
-                 cc.describe().c_str(), src.c_str());
+                 cc.describe().c_str(), dir.path().c_str());
     dir.keep();
     return 1;
   }
