@@ -54,12 +54,12 @@ struct MixResult {
   uint64_t shed = 0;       // the E0609 subset of `errors`
   uint64_t transport = 0;  // connect/read failures (should stay 0 here)
   double wallSeconds = 0.0;
-  obs::LatencySnapshot latency;
+  obs::HistogramSnapshot latency;
 };
 
 // One request over a fresh connection, latency recorded client-side.
 void oneRequest(const std::string& sock, const std::string& payload,
-                obs::LatencyHistogram& hist, MixResult& out, std::mutex& mu) {
+                obs::Histogram& hist, MixResult& out, std::mutex& mu) {
   auto t0 = std::chrono::steady_clock::now();
   std::string kind = "transport";
   std::string code;
@@ -97,7 +97,7 @@ void oneRequest(const std::string& sock, const std::string& payload,
 MixResult runMix(const std::string& sock, unsigned clients, unsigned perClient,
                  const std::function<std::string(unsigned reqIndex)>& payloadFor) {
   MixResult res;
-  obs::LatencyHistogram hist;
+  obs::Histogram hist;
   std::mutex mu;
   auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> ts;
@@ -124,9 +124,9 @@ obs::Json mixRow(const std::string& mix, unsigned clients, unsigned requests,
   row["transport_failures"] = r.transport;
   row["wall_seconds"] = r.wallSeconds;
   row["req_per_sec"] = r.wallSeconds > 0 ? static_cast<double>(requests) / r.wallSeconds : 0.0;
-  row["p50_ns"] = r.latency.p50Ns;
-  row["p99_ns"] = r.latency.p99Ns;
-  row["mean_ns"] = r.latency.meanNs;
+  row["p50_ns"] = r.latency.p50;
+  row["p99_ns"] = r.latency.p99;
+  row["mean_ns"] = r.latency.mean;
   return row;
 }
 
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
     report.addRow(mixRow("cached", cachedClients, cachedClients * cachedPer, cached));
     std::printf("cached:   %6.0f req/s  p50 %.2fms p99 %.2fms  (%llu ok, %llu err)\n",
                 static_cast<double>(cachedClients * cachedPer) / cached.wallSeconds,
-                cached.latency.p50Ns / 1e6, cached.latency.p99Ns / 1e6,
+                cached.latency.p50 / 1e6, cached.latency.p99 / 1e6,
                 static_cast<unsigned long long>(cached.ok),
                 static_cast<unsigned long long>(cached.errors));
 
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
     report.addRow(mixRow("cold", coldClients, coldClients * coldPer, cold));
     std::printf("cold:     %6.0f req/s  p50 %.2fms p99 %.2fms  (%llu ok, %llu err)\n",
                 static_cast<double>(coldClients * coldPer) / cold.wallSeconds,
-                cold.latency.p50Ns / 1e6, cold.latency.p99Ns / 1e6,
+                cold.latency.p50 / 1e6, cold.latency.p99 / 1e6,
                 static_cast<unsigned long long>(cold.ok),
                 static_cast<unsigned long long>(cold.errors));
 
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
         "overload: %6.0f req/s  p50 %.2fms p99 %.2fms  (%llu ok, %llu shed; "
         "queue peak %llu of %zu)\n",
         static_cast<double>(loadClients * loadPer) / over.wallSeconds,
-        over.latency.p50Ns / 1e6, over.latency.p99Ns / 1e6,
+        over.latency.p50 / 1e6, over.latency.p99 / 1e6,
         static_cast<unsigned long long>(over.ok), static_cast<unsigned long long>(over.shed),
         static_cast<unsigned long long>(stats.queueDepthPeak), opts.queueCapacity);
     if (stats.queueDepthPeak > opts.queueCapacity) {

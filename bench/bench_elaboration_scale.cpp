@@ -20,11 +20,12 @@
 // cheap). Emits BENCH_elaboration_scale.json.
 #include <chrono>
 #include <cstring>
+#include <map>
 
 #include "bench_util.h"
 #include "core/schedule.h"
 #include "designs/tinysoc.h"
-#include "obs/phase_timer.h"
+#include "obs/metrics.h"
 #include "sim/compile.h"
 #include "support/meminfo.h"
 
@@ -45,9 +46,31 @@ struct Elaborated {
   size_t partitions = 0;
 };
 
-// One full text->schedule elaboration with fresh phase timers.
+struct PhaseTotal {
+  uint64_t calls = 0;
+  uint64_t ns = 0;
+};
+
+// Phase name -> totals recorded so far by the global registry's
+// phase.<name>_ns histograms. The registry is never cleared (SimFarm and
+// serve::Server hold references into it), so one elaboration's phases are
+// the difference of two of these.
+std::map<std::string, PhaseTotal> phaseTotals() {
+  const std::string prefix = "phase.", suffix = "_ns";
+  std::map<std::string, PhaseTotal> out;
+  const obs::Json doc = obs::MetricsRegistry::global().toJson();
+  if (const obs::Json* hists = doc.find("histograms"))
+    for (const auto& [name, h] : hists->members())
+      if (name.size() > prefix.size() + suffix.size() && name.starts_with(prefix) &&
+          name.ends_with(suffix))
+        out[name.substr(prefix.size(), name.size() - prefix.size() - suffix.size())] = {
+            h.at("count").asUInt(), h.at("sum").asUInt()};
+  return out;
+}
+
+// One full text->schedule elaboration, with the phases it ran.
 Elaborated elaborateOnce(const std::string& text) {
-  obs::resetPhaseTimings();
+  const std::map<std::string, PhaseTotal> before = phaseTotals();
   Elaborated r;
   auto t0 = std::chrono::steady_clock::now();
   std::shared_ptr<const sim::CompiledDesign> design = sim::compileDesign(text);
@@ -58,8 +81,16 @@ Elaborated elaborateOnce(const std::string& text) {
   r.nodes = static_cast<int64_t>(net.nodes.size());
   r.edges = net.g.numEdges();
   r.partitions = sched.parts.size();
-  obs::Json timings = obs::phaseTimingsJson();
-  if (const obs::Json* t = timings.find("timers")) r.phases = *t;
+  r.phases = obs::Json::object();
+  for (const auto& [phase, after] : phaseTotals()) {
+    const auto it = before.find(phase);
+    const PhaseTotal b = it == before.end() ? PhaseTotal{} : it->second;
+    if (after.calls == b.calls) continue;
+    obs::Json t = obs::Json::object();
+    t["seconds"] = static_cast<double>(after.ns - b.ns) / 1e9;
+    t["calls"] = after.calls - b.calls;
+    r.phases[phase] = std::move(t);
+  }
   return r;
 }
 

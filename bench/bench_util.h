@@ -26,7 +26,7 @@
 #include "core/obs_export.h"
 #include "designs/tinysoc.h"
 #include "obs/json.h"
-#include "obs/phase_timer.h"
+#include "obs/metrics.h"
 #include "sim/compile.h"
 #include "sim/event_driven.h"
 #include "sim/full_cycle.h"
@@ -155,8 +155,9 @@ inline void printRule(int width) {
 //   * ESSENT_BENCH_JSON_DIR=<dir>  -> <dir>/BENCH_<name>.json
 //
 // Artifact schema: { "bench", "schema_version", "meta": {...},
-// "rows": [...], "phase_timings": {...} } — rows are bench-specific flat
-// objects, phase timings come from the global compile-phase registry.
+// "rows": [...], "metrics": {...} } — rows are bench-specific flat
+// objects; metrics is the global obs::MetricsRegistry (phase.<name>_ns
+// compile-phase histograms, farm and serve latencies).
 class JsonReporter {
  public:
   JsonReporter(std::string name, int argc, char** argv)
@@ -215,7 +216,7 @@ class JsonReporter {
 
   void write() {
     if (!enabled()) return;
-    doc_["phase_timings"] = obs::phaseTimingsJson();
+    doc_["metrics"] = obs::MetricsRegistry::global().toJson();
     obs::writeJsonFile(path_, doc_);
     std::fprintf(stderr, "bench json: wrote %s\n", path_.c_str());
     written_ = true;

@@ -17,7 +17,6 @@
 
 #include "core/activity_engine.h"    // ActivityEngine (CCSS) + CompiledCcss
 #include "core/lane_engine.h"        // LaneEngine + LaneBroadcastEngine (SIMD lanes)
-#include "core/parallel_engine.h"    // deprecated ParallelActivityEngine + makeCcssEngine
 #include "sim/compile.h"             // compileDesign: FIRRTL text -> CompiledDesign
 #include "sim/engine.h"              // Engine, CompiledDesign, EngineStats
 #include "sim/engine_factory.h"      // EngineKind, EngineOptions, makeEngine

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/stats.h"
+#include "obs/metrics.h"
 
 namespace essent::core {
 
@@ -43,7 +43,7 @@ obs::Json scheduleSummaryJson(const CondPartSchedule& sched) {
   j["part_outputs"] = sched.totalOutputs;
   obs::Histogram sizes;
   for (const auto& part : sched.parts) sizes.record(part.ops.size());
-  j["partition_size"] = sizes.toJson();
+  j["partition_size"] = sizes.snapshot().toJson();
   return j;
 }
 

@@ -264,10 +264,10 @@ FarmReport SimFarm::run(const std::vector<FarmJob>& jobs) {
   // Per-batch wall-time histogram (snapshotted into the report) plus the
   // process-wide aggregates that merge into --stats-json. The references
   // are resolved once, outside the claim loop; recording is lock-free.
-  obs::LatencyHistogram batchHist;
-  obs::LatencyHistogram& globalHist =
+  obs::Histogram batchHist;
+  obs::Histogram& globalHist =
       obs::MetricsRegistry::global().histogram("farm.instance_wall_ns");
-  obs::LatencyHistogram& claimHist =
+  obs::Histogram& claimHist =
       obs::MetricsRegistry::global().histogram("farm.claim_wait_ns");
 
   obs::MetricCounter& groupCounter =

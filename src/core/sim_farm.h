@@ -94,12 +94,12 @@ struct FarmReport {
   uint64_t totalCycles = 0;   // sum over instances
   double instancesPerSec = 0.0;
   double aggregateCyclesPerSec = 0.0;  // totalCycles / wallSeconds
-  // Degradation messages from engine construction (W0601, e.g. the
-  // deprecated `par` kind), deduplicated across instances.
+  // Degradation messages from engine construction (EngineOptions::warnings),
+  // deduplicated across instances.
   std::vector<std::string> warnings;
   // Distribution of per-instance wall times (ns) across the batch —
   // p50/p99 here are the daemon-facing latency numbers (Open item 3).
-  obs::LatencySnapshot instanceLatency;
+  obs::HistogramSnapshot instanceLatency;
   // Lane-farm counters (kind == Lane only).
   FarmLaneStats lane;
   std::vector<FarmInstanceResult> instances;  // one per job, in job order

@@ -5,33 +5,34 @@
 
 namespace essent::obs {
 
-Json LatencySnapshot::toJson() const {
+Json HistogramSnapshot::toJson() const {
   Json j = Json::object();
   j["count"] = count;
-  j["sum_ns"] = sumNs;
-  j["min_ns"] = minNs;
-  j["max_ns"] = maxNs;
-  j["mean_ns"] = meanNs;
-  j["p50_ns"] = p50Ns;
-  j["p90_ns"] = p90Ns;
-  j["p99_ns"] = p99Ns;
+  j["sum"] = sum;
+  j["min"] = min;
+  j["max"] = max;
+  j["mean"] = mean;
+  j["p50"] = p50;
+  j["p90"] = p90;
+  j["p99"] = p99;
   return j;
 }
 
-LatencySnapshot LatencyHistogram::snapshot() const {
-  LatencySnapshot s;
+HistogramSnapshot Histogram::snapshot() const {
+  HistogramSnapshot s;
   uint64_t counts[kBuckets];
   for (size_t i = 0; i < kBuckets; i++)
     counts[i] = buckets_[i].load(std::memory_order_relaxed);
   for (size_t i = 0; i < kBuckets; i++) s.count += counts[i];
   if (s.count == 0) return s;
-  s.sumNs = sum_.load(std::memory_order_relaxed);
-  s.minNs = min_.load(std::memory_order_relaxed);
-  s.maxNs = max_.load(std::memory_order_relaxed);
-  s.meanNs = static_cast<double>(s.sumNs) / static_cast<double>(s.count);
+  s.sum = sum_.load(std::memory_order_relaxed);
+  s.min = min_.load(std::memory_order_relaxed);
+  s.max = max_.load(std::memory_order_relaxed);
+  s.mean = static_cast<double>(s.sum) / static_cast<double>(s.count);
 
   // Quantile by cumulative walk; interpolate linearly inside the bucket's
-  // value range [2^(i-1), 2^i).
+  // value range [2^(i-1), 2^i), clamped to the observed [min, max] (so a
+  // single sample, e.g. one compile's phase, reports itself).
   auto quantile = [&](double q) -> double {
     double rank = q * static_cast<double>(s.count - 1);
     uint64_t below = 0;
@@ -47,15 +48,17 @@ LatencySnapshot LatencyHistogram::snapshot() const {
                                   static_cast<double>(counts[i] - 1)
                             : 0.0;
         double v = lo + within * (hi - lo);
-        return std::min(v, static_cast<double>(s.maxNs));
+        // Not std::clamp: a snapshot racing the first record() can read
+        // min > max.
+        return std::min(std::max(v, static_cast<double>(s.min)), static_cast<double>(s.max));
       }
       below += counts[i];
     }
-    return static_cast<double>(s.maxNs);
+    return static_cast<double>(s.max);
   };
-  s.p50Ns = quantile(0.50);
-  s.p90Ns = quantile(0.90);
-  s.p99Ns = quantile(0.99);
+  s.p50 = quantile(0.50);
+  s.p90 = quantile(0.90);
+  s.p99 = quantile(0.99);
   return s;
 }
 
@@ -73,10 +76,10 @@ MetricGauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
+Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<LatencyHistogram>();
+  if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
 }
 

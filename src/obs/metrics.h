@@ -1,7 +1,9 @@
 // Lock-free runtime metrics: monotonic counters, gauges, and log2-bucketed
-// latency histograms with quantile snapshots. Complements the tracing layer
-// (obs/trace.h): traces answer "where did this run's time go", metrics
-// accumulate cheap aggregates that merge into --stats-json.
+// histograms with quantile snapshots — the process's one instrument model.
+// Complements the tracing layer (obs/trace.h): traces answer "where did this
+// run's time go", metrics accumulate cheap aggregates that merge into
+// --stats-json. Histograms are unit-neutral; an instrument carries its unit
+// in its name ("phase.parse_ns", "serve.request_ns").
 //
 // Instruments are created through a MetricsRegistry (mutex on creation,
 // idempotent by name); recording on an instrument is a handful of relaxed
@@ -50,41 +52,43 @@ class MetricGauge {
   std::atomic<uint64_t> bits_{0};  // the bit pattern of 0.0
 };
 
-struct LatencySnapshot {
+// Moments and interpolated quantiles of a Histogram, in the unit of its
+// samples. JSON: {count, sum, min, max, mean, p50, p90, p99}.
+struct HistogramSnapshot {
   uint64_t count = 0;
-  uint64_t sumNs = 0;
-  uint64_t minNs = 0;
-  uint64_t maxNs = 0;
-  double meanNs = 0.0;
-  double p50Ns = 0.0;
-  double p90Ns = 0.0;
-  double p99Ns = 0.0;
+  uint64_t sum = 0;
+  uint64_t min = 0;
+  uint64_t max = 0;
+  double mean = 0.0;
+  double p50 = 0.0;
+  double p90 = 0.0;
+  double p99 = 0.0;
 
   Json toJson() const;
 };
 
-// Power-of-two bucketed histogram of nanosecond durations. Bucket 0 holds
-// zeros; bucket i (i >= 1) holds [2^(i-1), 2^i). Quantiles interpolate
-// linearly within a bucket, so they carry at most ~2x relative error —
-// plenty for p50/p99 latency reporting.
-class LatencyHistogram {
+// Power-of-two bucketed histogram of nonnegative integer samples (durations
+// in ns, partition sizes). Bucket 0 holds zeros; bucket i (i >= 1) holds
+// [2^(i-1), 2^i). Quantiles interpolate linearly within a bucket, so they
+// carry at most ~2x relative error — plenty for p50/p99 reporting.
+class Histogram {
  public:
   static constexpr size_t kBuckets = 64;
 
-  void record(uint64_t ns) {
-    buckets_[bucketIndex(ns)].fetch_add(1, std::memory_order_relaxed);
+  void record(uint64_t value) {
+    buckets_[bucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(ns, std::memory_order_relaxed);
-    atomicMin(min_, ns);
-    atomicMax(max_, ns);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    atomicMin(min_, value);
+    atomicMax(max_, value);
   }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  LatencySnapshot snapshot() const;
+  HistogramSnapshot snapshot() const;
 
-  static size_t bucketIndex(uint64_t ns) {
-    // The bit width of ns: 0 for ns == 0 (__builtin_clzll(0) is undefined).
-    size_t i = ns == 0 ? 0 : static_cast<size_t>(64 - __builtin_clzll(ns));
+  static size_t bucketIndex(uint64_t value) {
+    // The bit width of value: 0 for 0 (__builtin_clzll(0) is undefined).
+    size_t i = value == 0 ? 0 : static_cast<size_t>(64 - __builtin_clzll(value));
     return i < kBuckets ? i : kBuckets - 1;
   }
 
@@ -112,7 +116,7 @@ class MetricsRegistry {
  public:
   MetricCounter& counter(const std::string& name);
   MetricGauge& gauge(const std::string& name);
-  LatencyHistogram& histogram(const std::string& name);
+  Histogram& histogram(const std::string& name);
 
   bool empty() const;
   // {"counters": {...}, "gauges": {...}, "histograms": {name: snapshot}}
@@ -120,14 +124,17 @@ class MetricsRegistry {
   // Drops every instrument (invalidates outstanding references); test-only.
   void clear();
 
-  // Process-wide registry, merged into essentc --stats-json.
+  // Process-wide registry: compile phase timers, farm and serve latencies.
+  // Merged into essentc --stats-json / --profile, essentd --metrics-json and
+  // the bench artifacts. Never cleared outside tests: SimFarm and the
+  // server hold references into it.
   static MetricsRegistry& global();
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<MetricCounter>> counters_;
   std::map<std::string, std::unique_ptr<MetricGauge>> gauges_;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
+  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace essent::obs

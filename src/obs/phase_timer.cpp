@@ -1,43 +1,22 @@
 #include "obs/phase_timer.h"
 
-#include <mutex>
+#include <string>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace essent::obs {
 
-namespace {
-
-std::mutex& timingMutex() {
-  static std::mutex m;
-  return m;
-}
-
-Registry& timingRegistry() {
-  static Registry r;
-  return r;
-}
-
-}  // namespace
-
 ScopedPhaseTimer::~ScopedPhaseTimer() {
-  double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+  const auto elapsed = std::chrono::steady_clock::now() - start_;
   // Existing phase timers double as trace spans, so compile phases land on
   // the timeline without re-instrumenting every call site.
   if (TraceSession* s = TraceSession::current())
     s->complete(phase_, s->toNs(start_), TraceCat::Busy);
-  std::lock_guard<std::mutex> lock(timingMutex());
-  timingRegistry().timer(phase_).record(elapsed);
-}
-
-Json phaseTimingsJson() {
-  std::lock_guard<std::mutex> lock(timingMutex());
-  return timingRegistry().toJson();
-}
-
-void resetPhaseTimings() {
-  std::lock_guard<std::mutex> lock(timingMutex());
-  timingRegistry().clear();
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
+  MetricsRegistry::global()
+      .histogram(std::string("phase.") + phase_ + "_ns")
+      .record(static_cast<uint64_t>(ns));
 }
 
 }  // namespace essent::obs

@@ -1,26 +1,19 @@
 // RAII wall-clock phase timers for the compile flow. Each pipeline pass
 // (parse, lower, build-ir, netlist, mffc, merge phases, schedule, codegen)
-// wraps itself in a ScopedPhaseTimer; totals accumulate in a process-global
-// registry so any tool can attribute where compile time went without
-// threading a context object through every layer.
+// wraps itself in a ScopedPhaseTimer, which records the elapsed nanoseconds
+// into the global metrics registry as histogram "phase.<name>_ns" — so any
+// tool can attribute where compile time went (count, sum, p50/p99 per
+// phase) without threading a context object through every layer.
 //
-// Recording happens once per phase invocation (two steady_clock reads and
-// one mutex-guarded map update), which is noise next to the passes being
-// timed — the timers stay on unconditionally.
+// Recording happens once per phase invocation (two steady_clock reads, one
+// mutex-guarded instrument lookup and a few relaxed atomic adds), which is
+// noise next to the passes being timed — the timers stay on
+// unconditionally.
 #pragma once
 
 #include <chrono>
 
-#include "obs/stats.h"
-
 namespace essent::obs {
-
-// The global phase-timing registry. Snapshot with phaseTimingsJson(),
-// zero between independent compilations with resetPhaseTimings().
-// Access is internally synchronized; the returned JSON lists phases in
-// first-execution order.
-Json phaseTimingsJson();
-void resetPhaseTimings();
 
 class ScopedPhaseTimer {
  public:

@@ -243,8 +243,11 @@ std::optional<Request> parseRequest(const obs::Json& doc, std::string& code,
           }
           r.options.baseline = v.asBool();
         } else if (name == "engine") {
-          if (!v.isString() || !sim::parseEngineKind(v.asStr(), r.options.kind) ||
-              r.options.kind == sim::EngineKind::Codegen) {
+          if (v.isString() && (v.asStr() == "par" || v.asStr() == "essent-ccss-par")) {
+            r.options.kind = sim::EngineKind::Ccss;
+            r.options.threadsIgnored = true;
+          } else if (!v.isString() || !sim::parseEngineKind(v.asStr(), r.options.kind) ||
+                     r.options.kind == sim::EngineKind::Codegen) {
             message = "options.engine must be one of full|event|ccss|lane";
             return std::nullopt;
           }
@@ -253,7 +256,7 @@ std::optional<Request> parseRequest(const obs::Json& doc, std::string& code,
             message = "options.threads must be an integer in [0, 256]";
             return std::nullopt;
           }
-          r.options.threads = static_cast<unsigned>(v.asUInt());
+          if (v.asUInt() > 1) r.options.threadsIgnored = true;
         } else if (name == "lanes") {
           if (!isUIntNumber(v) || v.asUInt() > 64) {
             message = "options.lanes must be an integer in [0, 64]";

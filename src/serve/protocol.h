@@ -61,7 +61,10 @@ struct RequestOptions {
   uint32_t cp = 8;            // partitioner small-threshold C_p
   bool baseline = false;      // disable const-prop/CSE/DCE
   sim::EngineKind kind = sim::EngineKind::Ccss;
-  unsigned threads = 1;       // accepted for compatibility; > 1 only warns (W0601)
+  // Set by engine "par" / "essent-ccss-par" or options.threads > 1, which
+  // proto 1 still accepts from the removed intra-design threaded engine:
+  // the run is the serial CCSS engine with a W0601 warning.
+  bool threadsIgnored = false;
   unsigned lanes = 0;         // Lane engine width (0 = engine default)
 
   // Canonical cache-key fragment, stable across field reordering.

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/activity_engine.h"
@@ -512,11 +513,10 @@ obs::Json Server::handleRun(const Request& req) {
   sim::EngineOptions eo;
   eo.partitionSmallThreshold = req.options.cp;
   if (req.options.lanes > 0) eo.lanes = req.options.lanes;
-  // The deprecated `par` kind runs serial CCSS and warns through the
-  // factory; options.threads stays accepted on the wire but never spawns a
-  // thread — it only earns the same W0601 warning.
+  // Proto 1's `par` engine and options.threads never spawn a thread; they
+  // only earn a W0601 warning.
   std::vector<std::string> warnings;
-  if (req.options.threads > 1) warnings.push_back(sim::kSerialCcssFallback);
+  if (req.options.threadsIgnored) warnings.push_back(sim::kSerialCcssFallback);
   eo.warnings = &warnings;
   const sim::EngineKind kind = req.options.kind;
 
@@ -573,8 +573,9 @@ obs::Json Server::handleRun(const Request& req) {
     farmDoc["total_cycles"] = report.totalCycles;
     farmDoc["wall_seconds"] = report.wallSeconds;
     farmDoc["aggregate_cycles_per_sec"] = report.aggregateCyclesPerSec;
-    farmDoc["p50_ns"] = report.instanceLatency.p50Ns;
-    farmDoc["p99_ns"] = report.instanceLatency.p99Ns;
+    // Whole nanoseconds on the wire: the quantiles are interpolated doubles.
+    farmDoc["p50_ns"] = static_cast<uint64_t>(std::llround(report.instanceLatency.p50));
+    farmDoc["p99_ns"] = static_cast<uint64_t>(std::llround(report.instanceLatency.p99));
     uint64_t failures = 0;
     obs::Json errors = obs::Json::array();
     for (const core::FarmInstanceResult& r : report.instances)

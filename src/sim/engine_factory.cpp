@@ -2,10 +2,6 @@
 // core/engine_factory.cpp (the core library provides the CCSS backends).
 #include "sim/engine_factory.h"
 
-// The deprecated CcssPar alias is named only here and in the factory case
-// that builds it (core/engine_factory.cpp).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace essent::sim {
 
 const char* engineKindName(EngineKind k) {
@@ -13,7 +9,6 @@ const char* engineKindName(EngineKind k) {
     case EngineKind::FullCycle: return "full";
     case EngineKind::EventDriven: return "event";
     case EngineKind::Ccss: return "ccss";
-    case EngineKind::CcssPar: return "par";
     case EngineKind::Lane: return "lane";
     case EngineKind::Codegen: return "codegen";
   }
@@ -25,7 +20,6 @@ const char* engineKindLongName(EngineKind k) {
     case EngineKind::FullCycle: return "full-cycle";
     case EngineKind::EventDriven: return "event-driven";
     case EngineKind::Ccss: return "essent-ccss";
-    case EngineKind::CcssPar: return "essent-ccss-par";
     case EngineKind::Lane: return "essent-lane";
     case EngineKind::Codegen: return "codegen";
   }
@@ -33,9 +27,7 @@ const char* engineKindLongName(EngineKind k) {
 }
 
 bool parseEngineKind(const std::string& token, EngineKind& out) {
-  std::vector<EngineKind> kinds = allEngineKinds();
-  kinds.push_back(EngineKind::CcssPar);
-  for (EngineKind k : kinds) {
+  for (EngineKind k : allEngineKinds()) {
     if (token == engineKindName(k) || token == engineKindLongName(k)) {
       out = k;
       return true;

@@ -33,21 +33,11 @@ namespace essent::sim {
 // structure-of-arrays arena; through makeEngine it surfaces as a scalar
 // engine that broadcasts inputs to every lane (core::LaneBroadcastEngine),
 // exercising the full SIMD path while staying bit-identical to a solo run.
-//
-// CcssPar (tokens "par" / "essent-ccss-par") is a deprecated alias that
-// builds the serial CCSS engine and appends kSerialCcssFallback to
-// EngineOptions::warnings (docs/API.md §4).
-enum class EngineKind : uint8_t {
-  FullCycle,
-  EventDriven,
-  Ccss,
-  CcssPar [[deprecated("intra-design threading was removed; use EngineKind::Ccss")]],
-  Lane,
-  Codegen
-};
+enum class EngineKind : uint8_t { FullCycle, EventDriven, Ccss, Lane, Codegen };
 
-// W0601 message for a request of intra-design threads (EngineKind::CcssPar
-// or a thread count above 1): the CCSS engine runs serially.
+// W0601 message for a request of intra-design threads (essentc's solo
+// --threads N > 1, the daemon's proto-1 `par` engine and options.threads):
+// every engine runs one instance on one thread.
 inline constexpr const char kSerialCcssFallback[] =
     "intra-design threading was removed; falling back to serial CCSS engine";
 
@@ -59,18 +49,16 @@ const char* engineKindName(EngineKind k);
 // "full-cycle" / "event-driven" / "essent-ccss" / "essent-lane" / "codegen".
 const char* engineKindLongName(EngineKind k);
 
-// Parses a kind token — canonical short names, the long aliases above, and
-// the deprecated "par" / "essent-ccss-par" — shared by essentc, essent_fuzz
-// and essentd so the tools can never drift apart. Returns false on unknown
-// tokens.
+// Parses a kind token — canonical short names and the long aliases above —
+// shared by essentc, essent_fuzz and essentd so the tools can never drift
+// apart. Returns false on unknown tokens.
 bool parseEngineKind(const std::string& token, EngineKind& out);
 
-// Every non-deprecated kind, in a stable order (FullCycle first: the
-// oracle uses the first entry as its reference engine).
+// Every kind, in a stable order (FullCycle first: the oracle uses the
+// first entry as its reference engine).
 std::vector<EngineKind> allEngineKinds();
 
-// The four non-deprecated kinds makeEngine can construct (everything
-// except Codegen).
+// The four kinds makeEngine can construct (everything except Codegen).
 std::vector<EngineKind> inProcessEngineKinds();
 
 // "full|event|ccss|lane|codegen" — for usage strings.
@@ -78,16 +66,10 @@ std::string engineKindList();
 
 // Options honored by makeEngine. Plain fields rather than the core-layer
 // option structs so this header stays dependency-free; the factory maps
-// them onto core::ScheduleOptions for the CCSS kinds. The pragmas keep the
-// implicit constructors from warning about the deprecated field; reading
-// or writing it still warns.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// them onto core::ScheduleOptions for the CCSS kinds. Every engine runs
+// one instance on one thread; for throughput run instances in parallel
+// (core::SimFarm workers, EngineKind::Lane).
 struct EngineOptions {
-  // Ignored: every engine is single-threaded. A value above 1 appends
-  // kSerialCcssFallback to `warnings` for the CCSS kinds.
-  [[deprecated("intra-design threading was removed; use core::SimFarm workers")]]
-  unsigned threads = 0;
   // Partitioner C_p small-threshold (paper §IV) for the CCSS kinds.
   uint32_t partitionSmallThreshold = 8;
   // State-element update elision (paper §III-B1) for the CCSS kinds.
@@ -99,11 +81,10 @@ struct EngineOptions {
   bool profiling = false;
   // Activity-timeline bucket width in cycles when profiling is on.
   uint32_t profileWindow = 256;
-  // When non-null, degradation messages (kSerialCcssFallback — surfaced
-  // as W0601 diagnostics) are appended here instead of being dropped.
+  // When non-null, degradation messages from engine construction are
+  // appended here instead of being dropped.
   std::vector<std::string>* warnings = nullptr;
 };
-#pragma GCC diagnostic pop
 
 // Constructs an engine of `kind` sharing `design`'s compiled structure;
 // the instance owns only its mutable state, so any number of engines can

@@ -102,74 +102,10 @@ TEST(ApiFactory, KindNamesParseRoundTrip) {
   sim::EngineKind parsed;
   EXPECT_FALSE(sim::parseEngineKind("verilator", parsed));
   EXPECT_FALSE(sim::parseEngineKind("", parsed));
+  // The removed intra-design threaded engine's tokens are unknown kinds.
+  EXPECT_FALSE(sim::parseEngineKind("par", parsed));
+  EXPECT_FALSE(sim::parseEngineKind("essent-ccss-par", parsed));
 }
-
-// The deprecated parallel-engine spellings (docs/API.md §4) are the one
-// place the repo still names them: each must build the serial CCSS engine,
-// identical to EngineKind::Ccss in every signal and every EngineStats
-// counter, and a request for more than one thread must warn (W0601).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ApiDeprecated, ParallelSpellingsAreTheSerialCcssEngine) {
-  auto design = compileExample("counterbanks.fir");
-  const std::vector<std::string> fallback = {sim::kSerialCcssFallback};
-
-  sim::EngineKind parsed;
-  ASSERT_TRUE(sim::parseEngineKind("par", parsed));
-  EXPECT_EQ(parsed, sim::EngineKind::CcssPar);
-  ASSERT_TRUE(sim::parseEngineKind("essent-ccss-par", parsed));
-  EXPECT_EQ(parsed, sim::EngineKind::CcssPar);
-
-  std::vector<std::string> parWarnings, threadWarnings, noWarnings;
-  sim::EngineOptions parOpts;
-  parOpts.warnings = &parWarnings;
-  sim::EngineOptions threadOpts;
-  threadOpts.threads = 4;
-  threadOpts.warnings = &threadWarnings;
-  sim::EngineOptions oneThread;
-  oneThread.threads = 1;
-  oneThread.warnings = &noWarnings;
-  core::ScheduleOptions so;
-  auto ccss = core::CompiledCcss::get(design, so);
-
-  std::vector<std::unique_ptr<sim::Engine>> shims;
-  shims.push_back(sim::makeEngine(sim::EngineKind::CcssPar, design, parOpts));
-  shims.push_back(sim::makeEngine(sim::EngineKind::Ccss, design, threadOpts));
-  shims.push_back(sim::makeEngine(sim::EngineKind::Ccss, design, oneThread));
-  shims.push_back(std::make_unique<core::ParallelActivityEngine>(ccss, 4));
-  std::vector<std::string> w1, w2, w3, w4;
-  shims.push_back(core::makeCcssEngine(ccss, 4, &w1));
-  shims.push_back(core::makeCcssEngine(design, so, 4, &w2));
-  shims.push_back(core::makeCcssEngine(design->ir, so, 4, &w3));
-  shims.push_back(core::makeCcssEngine(ccss, 1, &w4));
-  EXPECT_EQ(parWarnings, fallback);
-  EXPECT_EQ(threadWarnings, fallback);
-  EXPECT_TRUE(noWarnings.empty());
-  EXPECT_EQ(w1, fallback);
-  EXPECT_EQ(w2, fallback);
-  EXPECT_EQ(w3, fallback);
-  EXPECT_TRUE(w4.empty());
-
-  for (size_t i = 0; i < shims.size(); i++) {
-    SCOPED_TRACE(i);
-    sim::Engine& shim = *shims[i];
-    ASSERT_NE(dynamic_cast<core::ActivityEngine*>(&shim), nullptr);
-    EXPECT_STREQ(shim.name(), "essent-ccss");
-    auto ref = sim::makeEngine(sim::EngineKind::Ccss, design);
-    auto mismatch = sim::compareEngines(*ref, shim, 500, driveExample);
-    EXPECT_FALSE(mismatch.has_value()) << mismatch->describe();
-    const sim::EngineStats& a = ref->stats();
-    const sim::EngineStats& b = shim.stats();
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.opsEvaluated, b.opsEvaluated);
-    EXPECT_EQ(a.partitionChecks, b.partitionChecks);
-    EXPECT_EQ(a.partitionActivations, b.partitionActivations);
-    EXPECT_EQ(a.outputComparisons, b.outputComparisons);
-    EXPECT_EQ(a.triggerSets, b.triggerSets);
-    EXPECT_EQ(a.signalsChangedTotal, b.signalsChangedTotal);
-  }
-}
-#pragma GCC diagnostic pop
 
 TEST(ApiConformance, AllKindsMatchFullCycleReference) {
   for (const char* ex : kExamples) {

@@ -11,6 +11,8 @@
 #include <string>
 #include <thread>
 
+#include "support/tempdir.h"
+
 #ifndef ESSENTC_PATH
 #error "ESSENTC_PATH must be defined by the build"
 #endif
@@ -20,17 +22,21 @@
 
 namespace {
 
+using essent::support::TempDir;
+
 struct CliResult {
   int exitCode = -1;
   std::string output;  // stdout + stderr
 };
 
-// `env` is prepended to the command line, e.g. "ESSENT_THREADS=1 ".
+// `env` is prepended to the command line, e.g. "ESSENT_THREADS=1 ". The
+// run's TMPDIR is a private scratch dir removed on return, so scratch that
+// essentc keeps after a failed compile goes with it.
 CliResult runCli(const std::string& args, const std::string& env = "") {
-  char dirTemplate[] = "/tmp/essent_cli_XXXXXX";
-  char* dir = mkdtemp(dirTemplate);
-  std::string outFile = std::string(dir) + "/out.txt";
-  std::string cmd = env + ESSENTC_PATH + " " + args + " > " + outFile + " 2>&1";
+  const TempDir dir("essent_cli_XXXXXX");
+  std::string outFile = dir.file("out.txt");
+  std::string cmd = "TMPDIR='" + dir.path() + "' " + env + ESSENTC_PATH + " " + args + " > " +
+                    outFile + " 2>&1";
   int rc = std::system(cmd.c_str());
   CliResult res;
   res.exitCode = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
@@ -41,13 +47,17 @@ CliResult runCli(const std::string& args, const std::string& env = "") {
   return res;
 }
 
+// Scratch for the tests' input files, removed when the test process exits.
+const TempDir& inputDir() {
+  static const TempDir dir("essent_cli_fir_XXXXXX");
+  return dir;
+}
+
 std::string writeFir(const std::string& contents) {
-  char fileTemplate[] = "/tmp/essent_cli_fir_XXXXXX";
-  int fd = mkstemp(fileTemplate);
-  if (fd >= 0) close(fd);
-  std::ofstream f(fileTemplate);
-  f << contents;
-  return fileTemplate;
+  static int files = 0;
+  std::string path = inputDir().file("design" + std::to_string(files++) + ".fir");
+  std::ofstream(path) << contents;
+  return path;
 }
 
 const char* kCounterFir = R"(
@@ -183,25 +193,21 @@ TEST(Cli, CompileRunShardedCrossChecksInterpreter) {
 // compiler that logs its calls and always fails, one compile at a time:
 // exactly one call, then exit 1 with the scratch directory kept.
 TEST(Cli, CompileRunStartsNoCompileAfterAFailure) {
-  char dirTemplate[] = "/tmp/essent_cli_cc_XXXXXX";
-  const std::string dir = mkdtemp(dirTemplate);
+  const TempDir tmp("essent_cli_cc_XXXXXX");
+  const std::string& dir = tmp.path();
   const std::string log = dir + "/calls.log";
   std::ofstream(dir + "/c++") << "#!/bin/sh\necho \"$*\" >> '" << log << "'\nexit 1\n";
   std::filesystem::permissions(dir + "/c++", std::filesystem::perms::owner_all);
   auto res = runCli("--compile-run 5 --shards 2 " + std::string(EXAMPLES_DIR) + "/gcd.fir",
-                    "PATH='" + dir + "':\"$PATH\" ESSENT_THREADS=1 ");
+                    "PATH='" + dir + "':\"$PATH\" TMPDIR='" + dir + "' ESSENT_THREADS=1 ");
   EXPECT_EQ(res.exitCode, 1) << res.output;
   EXPECT_NE(res.output.find("in 2 units"), std::string::npos) << res.output;
   std::ifstream calls(log);
   size_t n = 0;
   for (std::string line; std::getline(calls, line);) n++;
   EXPECT_EQ(n, 1u) << res.output;
-  const std::string kept = "source kept at ";
-  const size_t at = res.output.find(kept);
-  ASSERT_NE(at, std::string::npos) << res.output;
-  const size_t end = res.output.find(')', at);
-  std::filesystem::remove_all(res.output.substr(at + kept.size(), end - at - kept.size()));
-  std::filesystem::remove_all(dir);
+  // The kept scratch lands in this test's TMPDIR and is removed with it.
+  EXPECT_NE(res.output.find("source kept at " + dir + "/"), std::string::npos) << res.output;
 }
 
 TEST(Cli, EngineLongAliasesAccepted) {
@@ -211,9 +217,12 @@ TEST(Cli, EngineLongAliasesAccepted) {
     EXPECT_EQ(res.exitCode, 0) << engine << res.output;
     EXPECT_NE(res.output.find("count = 0x9"), std::string::npos) << engine << res.output;
   }
-  auto bad = runCli("--run 5 --engine verilator " + fir);
-  EXPECT_EQ(bad.exitCode, 2);
-  EXPECT_NE(bad.output.find("unknown engine"), std::string::npos);
+  // The removed intra-design threaded engine is no longer a kind.
+  for (const char* engine : {"verilator", "par", "essent-ccss-par"}) {
+    auto bad = runCli(std::string("--run 5 --engine ") + engine + " " + fir);
+    EXPECT_EQ(bad.exitCode, 2) << engine;
+    EXPECT_NE(bad.output.find("unknown engine"), std::string::npos) << engine << bad.output;
+  }
   auto codegen = runCli("--run 5 --engine codegen " + fir);
   EXPECT_EQ(codegen.exitCode, 2);
   EXPECT_NE(codegen.output.find("--compile-run"), std::string::npos);
@@ -231,7 +240,7 @@ TEST(Cli, BatchRunsFarmAndAgreesWithSolo) {
   // --batch gates on --run and rejects per-instance output flags.
   auto noRun = runCli("--stats --batch 2 " + fir);
   EXPECT_EQ(noRun.exitCode, 2);
-  auto withVcd = runCli("--run 5 --batch 2 --vcd /tmp/x.vcd " + fir);
+  auto withVcd = runCli("--run 5 --batch 2 --vcd " + inputDir().file("x.vcd") + " " + fir);
   EXPECT_EQ(withVcd.exitCode, 2);
 }
 
@@ -251,8 +260,8 @@ TEST(Cli, BatchDefaultsToOneWorkerPerCore) {
 
 TEST(Cli, BatchStimulusDirDrivesInstances) {
   std::string fir = writeFir(kCounterFir);
-  char dirTemplate[] = "/tmp/essent_cli_stim_XXXXXX";
-  std::string dir = mkdtemp(dirTemplate);
+  const TempDir tmp("essent_cli_stim_XXXXXX");
+  const std::string& dir = tmp.path();
   std::ofstream(dir + "/on.stim") << "inputs en reset\nwidths 1 1\n1 0\n1 0\n1 0\n1 0\n";
   std::ofstream(dir + "/off.stim") << "inputs en reset\nwidths 1 1\n0 0\n0 0\n0 0\n0 0\n";
   auto res = runCli("--run 4 --batch 2 --stimulus-dir " + dir + " " + fir);

@@ -17,6 +17,7 @@
 #include "sim/compile.h"
 #include "sim/full_cycle.h"
 #include "support/strutil.h"
+#include "support/tempdir.h"
 
 namespace essent::codegen {
 namespace {
@@ -217,11 +218,10 @@ TEST(Codegen, MemberNamesAreUniqueAndStable) {
 // Compiles `code` + `mainBody` and returns the process stdout.
 // `mainBody` runs inside main() with a Simulator named `sim` in scope.
 std::string compileAndRun(const std::string& code, const std::string& mainBody) {
-  char dirTemplate[] = "/tmp/essent_cg_XXXXXX";
-  char* dir = mkdtemp(dirTemplate);
-  if (!dir) return "<mkdtemp failed>";
-  std::string src = std::string(dir) + "/sim.cpp";
-  std::string bin = std::string(dir) + "/sim";
+  const support::TempDir tmp("essent_cg_XXXXXX");
+  const std::string& dir = tmp.path();
+  std::string src = dir + "/sim.cpp";
+  std::string bin = dir + "/sim";
   {
     std::ofstream f(src);
     f << code;
@@ -229,12 +229,12 @@ std::string compileAndRun(const std::string& code, const std::string& mainBody) 
   }
   std::string cmd = "c++ -std=c++20 -O1 -o " + bin + " " + src + " 2>" + dir + "/cc.log";
   if (std::system(cmd.c_str()) != 0) {
-    std::ifstream log(std::string(dir) + "/cc.log");
+    std::ifstream log(dir + "/cc.log");
     std::stringstream ss;
     ss << "<compile failed>\n" << log.rdbuf();
     return ss.str();
   }
-  std::string outFile = std::string(dir) + "/out.txt";
+  std::string outFile = dir + "/out.txt";
   if (std::system((bin + " > " + outFile).c_str()) != 0) return "<run failed>";
   std::ifstream out(outFile);
   std::stringstream ss;
@@ -245,32 +245,31 @@ std::string compileAndRun(const std::string& code, const std::string& mainBody) 
 // Like compileAndRun, but over a sharded emission: writes the header and
 // every unit, compiles them together with the main file, and runs.
 std::string compileAndRunSharded(const codegen::ShardedCpp& sh, const std::string& mainBody) {
-  char dirTemplate[] = "/tmp/essent_cgs_XXXXXX";
-  char* dir = mkdtemp(dirTemplate);
-  if (!dir) return "<mkdtemp failed>";
+  const support::TempDir tmp("essent_cgs_XXXXXX");
+  const std::string& dir = tmp.path();
   auto write = [&](const std::string& name, const std::string& text) {
-    std::ofstream f(std::string(dir) + "/" + name);
+    std::ofstream f(dir + "/" + name);
     f << text;
   };
   write(sh.headerName, sh.header);
   std::string srcs;
   for (size_t k = 0; k < sh.units.size(); k++) {
     write(sh.unitNames[k], sh.units[k]);
-    srcs += " " + std::string(dir) + "/" + sh.unitNames[k];
+    srcs += " " + dir + "/" + sh.unitNames[k];
   }
   write("main.cpp", "#include \"" + sh.headerName +
                         "\"\n#include <cstdio>\nint main() {\n  essent_gen::Simulator sim;\n" +
                         mainBody + "\n  return 0;\n}\n");
-  std::string bin = std::string(dir) + "/sim";
+  std::string bin = dir + "/sim";
   std::string cmd = "c++ -std=c++20 -O1 -o " + bin + " " + dir + "/main.cpp" + srcs + " 2>" +
                     dir + "/cc.log";
   if (std::system(cmd.c_str()) != 0) {
-    std::ifstream log(std::string(dir) + "/cc.log");
+    std::ifstream log(dir + "/cc.log");
     std::stringstream ss;
     ss << "<compile failed>\n" << log.rdbuf();
     return ss.str();
   }
-  std::string outFile = std::string(dir) + "/out.txt";
+  std::string outFile = dir + "/out.txt";
   if (std::system((bin + " > " + outFile).c_str()) != 0) return "<run failed>";
   std::ifstream out(outFile);
   std::stringstream ss;

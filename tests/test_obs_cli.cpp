@@ -11,6 +11,7 @@
 #include <string>
 
 #include "obs/json.h"
+#include "support/tempdir.h"
 
 #ifndef ESSENTC_PATH
 #error "ESSENTC_PATH must be defined by the build"
@@ -22,16 +23,12 @@
 namespace {
 
 using essent::obs::Json;
+namespace support = essent::support;
 
 struct CliResult {
   int exitCode = -1;
   std::string output;  // stdout + stderr
 };
-
-std::string tempDir() {
-  char dirTemplate[] = "/tmp/essent_obs_cli_XXXXXX";
-  return mkdtemp(dirTemplate);
-}
 
 CliResult runCli(const std::string& args, const std::string& dir) {
   std::string outFile = dir + "/out.txt";
@@ -57,7 +54,8 @@ Json parseFile(const std::string& path) {
 std::string example(const char* name) { return std::string(EXAMPLES_DIR) + "/" + name; }
 
 TEST(ObsCli, ProfileEmitsSumCheckedJson) {
-  std::string dir = tempDir();
+  const support::TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string& dir = tmp.path();
   std::string p = dir + "/p.json";
   auto res = runCli("--run 1000 --poke en=1 --poke sel=2 --profile " + p + " " +
                         example("counterbanks.fir"),
@@ -90,11 +88,14 @@ TEST(ObsCli, ProfileEmitsSumCheckedJson) {
   for (const Json& w : tl.at("activations_per_window").items()) tlSum += w.asUInt();
   EXPECT_EQ(tlSum, acts);
 
-  EXPECT_FALSE(doc.at("phase_timings").at("timers").members().empty());
+  // Compile phases ride along in the metrics section.
+  EXPECT_EQ(doc.find("phase_timings"), nullptr);
+  EXPECT_GE(doc.at("metrics").at("histograms").at("phase.parse_ns").at("count").asUInt(), 1u);
 }
 
 TEST(ObsCli, StatsJsonOnRunIncludesEngineSection) {
-  std::string dir = tempDir();
+  const support::TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string& dir = tmp.path();
   std::string s = dir + "/s.json";
   auto res = runCli("--run 200 --poke start=1 --poke a=48 --poke b=36 --stats-json " + s + " " +
                         example("gcd.fir"),
@@ -106,14 +107,19 @@ TEST(ObsCli, StatsJsonOnRunIncludesEngineSection) {
   EXPECT_GT(doc.at("partitioning").at("final_parts").asUInt(), 0u);
   EXPECT_EQ(doc.at("engine").at("name").asStr(), "essent-ccss");
   EXPECT_EQ(doc.at("engine").at("stats").at("cycles").asUInt(), 200u);
-  ASSERT_NE(doc.at("phase_timings").find("timers"), nullptr);
-  const Json& timers = doc.at("phase_timings").at("timers");
-  for (const char* phase : {"parse", "lower", "netlist", "mffc", "schedule"})
-    EXPECT_NE(timers.find(phase), nullptr) << "missing phase " << phase;
+  EXPECT_EQ(doc.find("phase_timings"), nullptr);
+  const Json& hists = doc.at("metrics").at("histograms");
+  for (const char* phase : {"parse", "lower", "netlist", "mffc", "schedule"}) {
+    const Json* h = hists.find(std::string("phase.") + phase + "_ns");
+    ASSERT_NE(h, nullptr) << "missing phase " << phase;
+    EXPECT_GE(h->at("count").asUInt(), 1u) << phase;
+    EXPECT_GE(h->at("p99").asDouble(), h->at("p50").asDouble()) << phase;
+  }
 }
 
 TEST(ObsCli, StatsJsonWithoutRunOmitsEngineSection) {
-  std::string dir = tempDir();
+  const support::TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string& dir = tmp.path();
   std::string s = dir + "/s.json";
   auto res = runCli("--stats-json " + s + " " + example("counterbanks.fir"), dir);
   ASSERT_EQ(res.exitCode, 0) << res.output;
@@ -125,7 +131,8 @@ TEST(ObsCli, StatsJsonWithoutRunOmitsEngineSection) {
 TEST(ObsCli, StatsJsonEdgeConfigsBaselineAndCpZero) {
   // --baseline disables activity tracking; --cp 0 disables sibling merging.
   // Both must still produce parseable stats documents.
-  std::string dir = tempDir();
+  const support::TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string& dir = tmp.path();
   for (const char* cfg : {"--baseline", "--cp 0"}) {
     std::string s = dir + "/edge.json";
     auto res = runCli(std::string(cfg) + " --run 100 --stats-json " + s + " " +
@@ -139,7 +146,8 @@ TEST(ObsCli, StatsJsonEdgeConfigsBaselineAndCpZero) {
 }
 
 TEST(ObsCli, TopHotPrintsRankedTable) {
-  std::string dir = tempDir();
+  const support::TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string& dir = tmp.path();
   auto res = runCli("--run 500 --poke en=1 --poke sel=1 --top-hot 3 " +
                         example("counterbanks.fir"),
                     dir);
@@ -149,7 +157,8 @@ TEST(ObsCli, TopHotPrintsRankedTable) {
 }
 
 TEST(ObsCli, ProfileRequiresRunAndCcssEngine) {
-  std::string dir = tempDir();
+  const support::TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string& dir = tmp.path();
   std::string fir = example("counterbanks.fir");
   auto noRun = runCli("--profile " + dir + "/p.json " + fir, dir);
   EXPECT_NE(noRun.exitCode, 0);
@@ -161,7 +170,8 @@ TEST(ObsCli, ProfileRequiresRunAndCcssEngine) {
 }
 
 TEST(ObsCli, ProfileOnGcdExampleParses) {
-  std::string dir = tempDir();
+  const support::TempDir tmp("essent_obs_cli_XXXXXX");
+  const std::string& dir = tmp.path();
   std::string p = dir + "/gcd.json";
   auto res = runCli("--run 300 --poke start=1 --poke a=1071 --poke b=462 --profile " + p + " " +
                         example("gcd.fir"),

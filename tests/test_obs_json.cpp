@@ -1,11 +1,10 @@
 // Unit tests for the observability substrate: the JSON document model
-// (writer + parser round trips), the stats registry serialization, and the
-// RAII phase timers.
+// (writer + parser round trips) and the RAII phase timers.
 #include <gtest/gtest.h>
 
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/phase_timer.h"
-#include "obs/stats.h"
 
 namespace essent::obs {
 namespace {
@@ -91,68 +90,20 @@ TEST(Json, TypeMismatchesThrow) {
   EXPECT_THROW(Json(-1).asUInt(), JsonError);
 }
 
-TEST(Histogram, Pow2BucketsAndMoments) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0u);  // empty histogram reports 0, not UINT64_MAX
-  for (uint64_t v : {0ull, 1ull, 1ull, 3ull, 8ull}) h.record(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 13u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 8u);
-  // Buckets: [0]=zeros, [1]=1, [2]=2-3, [3]=4-7, [4]=8-15.
-  const auto& b = h.buckets();
-  ASSERT_EQ(b.size(), 5u);
-  EXPECT_EQ(b[0], 1u);
-  EXPECT_EQ(b[1], 2u);
-  EXPECT_EQ(b[2], 1u);
-  EXPECT_EQ(b[3], 0u);
-  EXPECT_EQ(b[4], 1u);
-  Json j = h.toJson();
-  EXPECT_EQ(j.at("count").asUInt(), 5u);
-  EXPECT_DOUBLE_EQ(j.at("mean").asDouble(), 13.0 / 5.0);
-}
-
-TEST(Registry, NestedTreeSerializesWithStableSchema) {
-  Registry root;
-  root.counter("events") = 3;
-  root.addCounter("events", 2);
-  root.gauge("ratio") = 0.5;
-  root.timer("phase").record(0.25);
-  root.timer("phase").record(0.75);
-  root.histogram("sizes").record(4);
-  root.child("inner").counter("x") = 1;
-  EXPECT_FALSE(root.empty());
-  EXPECT_EQ(root.findChild("nope"), nullptr);
-  ASSERT_NE(root.findChild("inner"), nullptr);
-
-  Json j = root.toJson();
-  EXPECT_EQ(j.at("counters").at("events").asUInt(), 5u);
-  EXPECT_DOUBLE_EQ(j.at("gauges").at("ratio").asDouble(), 0.5);
-  EXPECT_DOUBLE_EQ(j.at("timers").at("phase").at("seconds").asDouble(), 1.0);
-  EXPECT_EQ(j.at("timers").at("phase").at("calls").asUInt(), 2u);
-  EXPECT_EQ(j.at("histograms").at("sizes").at("count").asUInt(), 1u);
-  EXPECT_EQ(j.at("inner").at("counters").at("x").asUInt(), 1u);
-  // Round-trips through the parser.
-  EXPECT_EQ(Json::parse(j.dump()), j);
-
-  root.clear();
-  EXPECT_TRUE(root.empty());
-  EXPECT_EQ(root.toJson().dump(0), "{}");
-}
-
+// Each scope records one sample, in ns, into the global registry's
+// phase.<name>_ns histogram.
 TEST(PhaseTimer, RecordsScopedDurations) {
-  resetPhaseTimings();
+  const Histogram& h = MetricsRegistry::global().histogram("phase.obs-test-phase_ns");
+  const HistogramSnapshot before = h.snapshot();
   {
     ScopedPhaseTimer t("obs-test-phase");
   }
   { ScopedPhaseTimer t("obs-test-phase"); }
-  Json j = phaseTimingsJson();
-  const Json& timer = j.at("timers").at("obs-test-phase");
-  EXPECT_EQ(timer.at("calls").asUInt(), 2u);
-  EXPECT_GE(timer.at("seconds").asDouble(), 0.0);
-  resetPhaseTimings();
-  EXPECT_EQ(phaseTimingsJson().dump(0), "{}");
+  const HistogramSnapshot after = h.snapshot();
+  EXPECT_EQ(after.count, before.count + 2);
+  EXPECT_GE(after.sum, before.sum);
+  const Json j = MetricsRegistry::global().toJson();
+  EXPECT_EQ(j.at("histograms").at("phase.obs-test-phase_ns").at("count").asUInt(), after.count);
 }
 
 }  // namespace

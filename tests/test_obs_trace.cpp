@@ -5,13 +5,16 @@
 // concurrent recording from ThreadPool workers is race-free (this file runs
 // under TSan), the disabled hot path records nothing and allocates nothing,
 // ring wrap keeps attribution exact, and the lock-free metrics registry
-// produces sane quantile snapshots.
+// produces sane quantile snapshots and counts every concurrent compile's
+// phases.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <new>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -345,41 +348,47 @@ TEST(Metrics, CounterAndGauge) {
 }
 
 TEST(Metrics, HistogramBucketIndex) {
-  EXPECT_EQ(obs::LatencyHistogram::bucketIndex(0), 0u);
-  EXPECT_EQ(obs::LatencyHistogram::bucketIndex(1), 1u);
-  EXPECT_EQ(obs::LatencyHistogram::bucketIndex(2), 2u);
-  EXPECT_EQ(obs::LatencyHistogram::bucketIndex(3), 2u);
-  EXPECT_EQ(obs::LatencyHistogram::bucketIndex(4), 3u);
-  EXPECT_EQ(obs::LatencyHistogram::bucketIndex(UINT64_MAX),
-            obs::LatencyHistogram::kBuckets - 1);
+  EXPECT_EQ(obs::Histogram::bucketIndex(0), 0u);
+  EXPECT_EQ(obs::Histogram::bucketIndex(1), 1u);
+  EXPECT_EQ(obs::Histogram::bucketIndex(2), 2u);
+  EXPECT_EQ(obs::Histogram::bucketIndex(3), 2u);
+  EXPECT_EQ(obs::Histogram::bucketIndex(4), 3u);
+  EXPECT_EQ(obs::Histogram::bucketIndex(UINT64_MAX),
+            obs::Histogram::kBuckets - 1);
 }
 
 TEST(Metrics, HistogramSnapshotQuantiles) {
-  obs::LatencyHistogram h;
+  obs::Histogram h;
   EXPECT_EQ(h.snapshot().count, 0u);
   // 100 samples at 1000ns, 10 at 1ms: p50 in the 1000ns bucket, p99 in the
   // 1ms bucket (log2 buckets carry <= 2x relative error).
   for (int i = 0; i < 100; i++) h.record(1000);
   for (int i = 0; i < 10; i++) h.record(1'000'000);
-  obs::LatencySnapshot s = h.snapshot();
+  obs::HistogramSnapshot s = h.snapshot();
   EXPECT_EQ(s.count, 110u);
-  EXPECT_EQ(s.minNs, 1000u);
-  EXPECT_EQ(s.maxNs, 1'000'000u);
-  EXPECT_NEAR(s.meanNs, (100.0 * 1000 + 10.0 * 1e6) / 110.0, 1.0);
-  EXPECT_GE(s.p50Ns, 512.0);
-  EXPECT_LT(s.p50Ns, 2048.0);
-  EXPECT_GE(s.p99Ns, 524288.0);
-  EXPECT_LE(s.p99Ns, 1'000'000.0);
-  EXPECT_GE(s.p90Ns, s.p50Ns);
-  EXPECT_GE(s.p99Ns, s.p90Ns);
+  EXPECT_EQ(s.min, 1000u);
+  EXPECT_EQ(s.max, 1'000'000u);
+  EXPECT_NEAR(s.mean, (100.0 * 1000 + 10.0 * 1e6) / 110.0, 1.0);
+  EXPECT_GE(s.p50, 512.0);
+  EXPECT_LT(s.p50, 2048.0);
+  EXPECT_GE(s.p99, 524288.0);
+  EXPECT_LE(s.p99, 1'000'000.0);
+  EXPECT_GE(s.p90, s.p50);
+  EXPECT_GE(s.p99, s.p90);
   obs::Json j = s.toJson();
   EXPECT_EQ(j.at("count").asUInt(), 110u);
-  EXPECT_NE(j.find("p50_ns"), nullptr);
-  EXPECT_NE(j.find("p99_ns"), nullptr);
+  EXPECT_EQ(j.at("sum").asUInt(), 100u * 1000 + 10u * 1'000'000);
+  EXPECT_NE(j.find("p50"), nullptr);
+  EXPECT_NE(j.find("p99"), nullptr);
+  // Quantiles are clamped to [min, max]: one sample reports itself.
+  obs::Histogram one;
+  one.record(98211);
+  EXPECT_DOUBLE_EQ(one.snapshot().p50, 98211.0);
+  EXPECT_DOUBLE_EQ(one.snapshot().p99, 98211.0);
 }
 
 TEST(Metrics, ConcurrentHistogramRecording) {
-  obs::LatencyHistogram h;
+  obs::Histogram h;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; t++)
     threads.emplace_back([&h, t] {
@@ -387,16 +396,38 @@ TEST(Metrics, ConcurrentHistogramRecording) {
         h.record(static_cast<uint64_t>(t * 1000 + i + 1));
     });
   for (auto& th : threads) th.join();
-  obs::LatencySnapshot s = h.snapshot();
+  obs::HistogramSnapshot s = h.snapshot();
   EXPECT_EQ(s.count, 4000u);
-  EXPECT_EQ(s.minNs, 1u);
-  EXPECT_EQ(s.maxNs, 3999u + 1u);
+  EXPECT_EQ(s.min, 1u);
+  EXPECT_EQ(s.max, 3999u + 1u);
 }
 
 TEST(Metrics, GlobalRegistryIsSingleton) {
   obs::MetricsRegistry& a = obs::MetricsRegistry::global();
   obs::MetricsRegistry& b = obs::MetricsRegistry::global();
   EXPECT_EQ(&a, &b);
+}
+
+// Concurrent compiles record every phase into the one global registry:
+// four threads each compile examples/gcd.fir, and each phase histogram
+// gains exactly one sample per compile (no lost or torn updates under
+// TSan).
+TEST(Metrics, ConcurrentCompilesRecordEveryPhase) {
+  std::ifstream f(std::string(EXAMPLES_DIR) + "/gcd.fir");
+  ASSERT_TRUE(f.good());
+  std::stringstream text;
+  text << f.rdbuf();
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const obs::Histogram& parse = reg.histogram("phase.parse_ns");
+  const obs::Histogram& buildIr = reg.histogram("phase.build-ir_ns");
+  const uint64_t parse0 = parse.count(), buildIr0 = buildIr.count();
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; t++)
+    threads.emplace_back([&text] { EXPECT_NE(sim::compileDesign(text.str()), nullptr); });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(parse.count(), parse0 + 4);
+  EXPECT_EQ(buildIr.count(), buildIr0 + 4);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "sim/compile.h"
 #include "support/resource_guard.h"
 #include "support/subprocess.h"
+#include "support/tempdir.h"
 #include "support/threadpool.h"
 
 #ifndef ESSENTC_PATH
@@ -218,8 +219,16 @@ TEST(OracleWatchdog, InjectedHangIsKilledAndReportedAsTimeout) {
   oo.engines = {fuzz::EngineKind::FullCycle, fuzz::EngineKind::Codegen};
   oo.subprocessTimeoutMs = 3000;
   oo.injectHangForTest = true;
+  // The oracle keeps a timed-out simulator's scratch under $TMPDIR for
+  // debugging; point it into this test's own scratch, which is removed.
+  const support::TempDir tmp("essent_watchdog_XXXXXX");
+  const char* oldTmp = std::getenv("TMPDIR");
+  const std::string savedTmp = oldTmp ? oldTmp : "";
+  setenv("TMPDIR", tmp.path().c_str(), 1);
   int64_t t0 = nowMs();
   fuzz::OracleResult res = fuzz::runOracle(kCounterFir, stim, oo);
+  if (oldTmp) setenv("TMPDIR", savedTmp.c_str(), 1);
+  else unsetenv("TMPDIR");
   ASSERT_TRUE(res.divergence.has_value());
   EXPECT_EQ(res.divergence->kind, fuzz::Divergence::Kind::Timeout);
   EXPECT_LT(nowMs() - t0, 60000);
@@ -232,11 +241,13 @@ struct CliResult {
   std::string output;
 };
 
+// The run's TMPDIR is a private scratch dir removed on return, so scratch
+// that essentc keeps after a timed-out or failed compile goes with it.
 CliResult runCli(const std::string& args) {
-  char dirTemplate[] = "/tmp/essent_robust_XXXXXX";
-  char* dir = mkdtemp(dirTemplate);
-  std::string outFile = std::string(dir) + "/out.txt";
-  std::string cmd = std::string(ESSENTC_PATH) + " " + args + " > " + outFile + " 2>&1";
+  const support::TempDir dir("essent_robust_XXXXXX");
+  std::string outFile = dir.file("out.txt");
+  std::string cmd = "TMPDIR='" + dir.path() + "' " + ESSENTC_PATH + " " + args + " > " +
+                    outFile + " 2>&1";
   int rc = std::system(cmd.c_str());
   CliResult res;
   res.exitCode = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
@@ -247,13 +258,16 @@ CliResult runCli(const std::string& args) {
   return res;
 }
 
+// Scratch for the tests' input files, removed when the test process exits.
+const support::TempDir& inputDir() {
+  static const support::TempDir dir("essent_robust_f_XXXXXX");
+  return dir;
+}
+
 std::string writeTemp(const std::string& contents, const char* suffix = ".fir") {
-  char fileTemplate[] = "/tmp/essent_robust_f_XXXXXX";
-  int fd = mkstemp(fileTemplate);
-  if (fd >= 0) close(fd);
-  std::string path = std::string(fileTemplate) + suffix;
-  std::ofstream f(path);
-  f << contents;
+  static int files = 0;
+  std::string path = inputDir().file("input" + std::to_string(files++) + suffix);
+  std::ofstream(path) << contents;
   return path;
 }
 
@@ -366,10 +380,8 @@ TEST(CliRobust, CompileRunInterruptKillsChildrenCleansUpExits130) {
       "circuit T :\n  module T :\n    input clock : Clock\n"
       "    input x : UInt<4>\n    output y : UInt<4>\n    y <= x\n");
   // Private TMPDIR so the leak check below only sees this test's dirs.
-  char scratchT[] = "/tmp/essent_sigrelay_XXXXXX";
-  char* made = mkdtemp(scratchT);
-  ASSERT_NE(made, nullptr);
-  std::string scratch = made;
+  const support::TempDir tmp("essent_sigrelay_XXXXXX");
+  const std::string& scratch = tmp.path();
 
   pid_t pid = fork();
   ASSERT_GE(pid, 0);
@@ -437,9 +449,6 @@ TEST(CliRobust, CompileRunInterruptKillsChildrenCleansUpExits130) {
     if (orphans) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_FALSE(orphans) << "a compiler/simulator child survived the interrupt";
-
-  fs::remove_all(scratch, ec);
-  std::remove(fir.c_str());
 }
 
 }  // namespace

@@ -22,8 +22,7 @@
 //   --engine E            full | event | ccss | lane   (--run; default ccss;
 //                         long aliases full-cycle|event-driven|essent-ccss|
 //                         essent-lane also accepted — sim::parseEngineKind
-//                         is the single name table shared with essent_fuzz;
-//                         the deprecated par runs serial ccss with W0601)
+//                         is the single name table shared with essent_fuzz)
 //   --baseline            emit/run with all optimizations disabled
 //   --no-hints            disable branch hints in generated code
 //   --cp N                partitioner small threshold C_p (default 8)
@@ -48,9 +47,9 @@
 //   --stimulus-dir DIR    with --batch: drive instance i from the i-th
 //                         (sorted, wrapping) stimulus file in DIR; the file
 //                         format is the fuzzer's Stimulus serialization
-//   --stats-json FILE     write design/partitioning/timing stats as JSON
-//                         (gains "parallel" + "metrics" sections when
-//                         tracing / metrics are active)
+//   --stats-json FILE     write design/partitioning/timing stats as JSON;
+//                         "metrics" holds the phase.<name>_ns compile-phase
+//                         histograms (gains "parallel" when tracing)
 //   --trace FILE          record an execution trace and write it as Chrome
 //                         trace-event JSON (open in https://ui.perfetto.dev)
 //   --trace-detail D      phase | wave | partition (default wave); each
@@ -104,7 +103,6 @@
 #include "fuzz/stimulus.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/phase_timer.h"
 #include "obs/trace.h"
 #include "sim/compile.h"
 #include "sim/engine_factory.h"
@@ -377,14 +375,13 @@ obs::Json statsJsonDoc(const Args& a, const sim::SimIR& ir,
     }
     doc["engine"] = std::move(e);
   }
-  doc["phase_timings"] = obs::phaseTimingsJson();
   // Thread attribution from the live trace session (quiescent by now: the
-  // simulation finished before stats are assembled) and any lock-free
-  // metrics recorded along the way (farm latency histograms etc.).
+  // simulation finished before stats are assembled) and the metrics
+  // recorded along the way (phase.<name>_ns compile-phase histograms, farm
+  // latency histograms etc.).
   if (obs::TraceSession* s = obs::TraceSession::current())
     doc["parallel"] = s->summary().toJson();
-  if (!obs::MetricsRegistry::global().empty())
-    doc["metrics"] = obs::MetricsRegistry::global().toJson();
+  doc["metrics"] = obs::MetricsRegistry::global().toJson();
   return doc;
 }
 
@@ -433,18 +430,15 @@ int runSim(const Args& a, std::shared_ptr<const sim::CompiledDesign> design,
   guard.checkCycles(a.runCycles);
   // Single construction path: the factory resolves the kind, builds (or
   // reuses) the kind-specific compiled structure, and applies the profiling
-  // knobs. A solo run is single-threaded: --threads N > 1 and the
-  // deprecated `par` kind surface through `warnings` as W0601 diagnostics.
+  // knobs. A solo run is single-threaded: --threads N > 1 surfaces as a
+  // W0601 diagnostic.
   sim::EngineOptions eo;
   eo.partitionSmallThreshold = a.cp;
   if (a.lanes > 0) eo.lanes = a.lanes;
   eo.profiling = !a.profilePath.empty() || a.topHot > 0;
   eo.profileWindow = a.profileWindow;
-  std::vector<std::string> warnings;
-  if (a.threads > 1) warnings.push_back(sim::kSerialCcssFallback);
-  eo.warnings = &warnings;
+  if (a.threads > 1) de.warning("W0601", sim::kSerialCcssFallback, {});
   std::unique_ptr<sim::Engine> eng = sim::makeEngine(a.engineKind, std::move(design), eo);
-  for (const std::string& w : warnings) de.warning("W0601", w, {});
 
   for (const auto& [name, value] : a.pokes) eng->poke(name, value);
 
@@ -500,7 +494,7 @@ int runSim(const Args& a, std::shared_ptr<const sim::CompiledDesign> design,
 
   if (!a.profilePath.empty()) {
     obs::Json doc = core::activityProfileJson(*act);
-    doc["phase_timings"] = obs::phaseTimingsJson();
+    doc["metrics"] = obs::MetricsRegistry::global().toJson();
     writeJsonReport("profile", a.profilePath, doc);
   }
   if (!a.statsJsonPath.empty())
