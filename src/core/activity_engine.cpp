@@ -54,6 +54,7 @@ std::shared_ptr<const CompiledCcss> CompiledCcss::get(
                     "/pB=" + std::to_string(po.phaseSmallSiblings) +
                     "/pC=" + std::to_string(po.phaseAnySibling) +
                     "/mp=" + std::to_string(po.maxPasses) +
+                    "/cmax=" + std::to_string(po.maxPartitionSize) +
                     "/elide=" + std::to_string(opts.stateElision);
   // Only the design-free schedule body lives in the cache (see
   // CcssSchedule); the wrapper pairing it with the design is rebuilt per
@@ -73,7 +74,8 @@ ActivityEngine::ActivityEngine(std::shared_ptr<const CompiledCcss> ccss)
       sched_(ccss_->body->sched),
       outputSaveOff_(ccss_->body->outputSaveOff),
       partOutBase_(ccss_->body->partOutBase) {
-  active_.assign(sched_.parts.size(), 1);
+  active_.assign((sched_.parts.size() + 63) / 64, 0);
+  activateAll();
   prevInputs_.assign(layout_.totalWords, 0);
   outputSave_.assign(ccss_->body->saveWords, 0);
   firstCycle_ = true;
@@ -81,11 +83,16 @@ ActivityEngine::ActivityEngine(std::shared_ptr<const CompiledCcss> ccss)
 
 void ActivityEngine::resetState() {
   Engine::resetState();
-  std::fill(active_.begin(), active_.end(), uint8_t{1});
+  activateAll();
   std::fill(prevInputs_.begin(), prevInputs_.end(), 0);
   std::fill(outputSave_.begin(), outputSave_.end(), 0);
   firstCycle_ = true;
   clearProfile();  // keep profile sums consistent with the zeroed stats_
+}
+
+void ActivityEngine::activateAll() {
+  std::fill(active_.begin(), active_.end(), ~uint64_t{0});
+  if (size_t tail = sched_.parts.size() % 64) active_.back() = (uint64_t{1} << tail) - 1;
 }
 
 void ActivityEngine::clearProfile() {
@@ -106,7 +113,10 @@ void ActivityEngine::setProfileWindow(uint32_t cycles) {
 }
 
 void ActivityEngine::wake(const std::vector<int32_t>& parts) {
-  for (int32_t p : parts) active_[static_cast<size_t>(p)] = 1;
+  for (int32_t p : parts) {
+    auto pos = static_cast<size_t>(p);
+    active_[pos / 64] |= uint64_t{1} << (pos % 64);
+  }
   stats_.triggerSets += parts.size();
 }
 
@@ -257,10 +267,21 @@ void ActivityEngine::finishCycle() {
   //    the static overhead).
   stats_.partitionChecks += sched_.parts.size();
   const uint64_t activationsBefore = stats_.partitionActivations;
-  for (size_t pos = 0; pos < sched_.parts.size(); pos++) {
-    if (!active_[pos]) continue;
-    active_[pos] = 0;  // deactivate for the next cycle first (Figure 1)
-    runPartition(pos, sched_.parts[pos]);
+  for (size_t w = 0; w < active_.size(); w++) {
+    uint64_t pending = active_[w];
+    while (pending != 0) {
+      unsigned bit = static_cast<unsigned>(__builtin_ctzll(pending));
+      pending &= pending - 1;
+      active_[w] &= ~(uint64_t{1} << bit);  // deactivate for the next cycle first (Figure 1)
+      size_t pos = w * 64 + bit;
+      runPartition(pos, sched_.parts[pos]);
+      // Pick up later partitions of this word that this one newly woke;
+      // bits at or below `bit` wait for the next cycle (2 << 63 wraps to 0,
+      // which masks off the whole word). The rare-branch form keeps the
+      // next ctz off the load of the word this partition just wrote.
+      uint64_t woken = active_[w] & ~((uint64_t{2} << bit) - 1) & ~pending;
+      if (__builtin_expect(woken != 0, 0)) pending |= woken;
+    }
   }
   if (profiling_) recordProfiledCycle(stats_.partitionActivations - activationsBefore);
 

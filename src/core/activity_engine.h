@@ -16,10 +16,19 @@
 //   4. runs phase 2: non-elided registers copy next->current and memory
 //      writes commit, waking consumers on change.
 //
+// The activity flags are one bit per partition (schedule position), packed
+// into uint64_t words. The sweep skips zero words and, inside a word, takes
+// the lowest set bit with ctz, so a cycle costs O(parts / 64) word tests
+// plus the active partitions' work rather than one byte test per partition.
+// After each partition it masks off every bit at or below the current
+// position: a wake of an earlier or the same partition (elided register
+// writes, self-wakes) stays set and runs next cycle, as in Figure 1.
+//
 // Overhead counters map onto Figure 7's decomposition: partitionChecks is
 // the static overhead, outputComparisons/triggerSets the dynamic overhead,
 // and opsEvaluated the base work (effective activity = opsEvaluated /
-// (totalOps * cycles)).
+// (totalOps * cycles)). partitionChecks stays the paper's logical count,
+// parts x cycles, whatever the word scan actually touches.
 #pragma once
 
 #include <memory>
@@ -112,7 +121,7 @@ class ActivityEngine : public sim::Engine {
 
  protected:
   void onStateClobbered() override {
-    std::fill(active_.begin(), active_.end(), uint8_t{1});
+    activateAll();
     firstCycle_ = true;
   }
 
@@ -122,8 +131,9 @@ class ActivityEngine : public sim::Engine {
   const CondPartSchedule& sched_;              // = ccss_->body->sched
   const std::vector<uint32_t>& outputSaveOff_; // = ccss_->body->outputSaveOff
   const std::vector<size_t>& partOutBase_;     // = ccss_->body->partOutBase
-  // ... and this instance's mutable state.
-  std::vector<uint8_t> active_;
+  // ... and this instance's mutable state. Bit (pos % 64) of word
+  // (pos / 64) is partition pos's activity flag; tail bits stay zero.
+  std::vector<uint64_t> active_;
   std::vector<uint64_t> prevInputs_;
   // Flat old-value buffer for all partition outputs.
   std::vector<uint64_t> outputSave_;
@@ -132,6 +142,7 @@ class ActivityEngine : public sim::Engine {
   ActivityProfile prof_;
 
   void clearProfile();
+  void activateAll();
   void runPartition(size_t pos, const CondPart& part);
   void applyRegWrite(const SchedRegWrite& rw);
   void applyMemWrite(const SchedMemWrite& mw);

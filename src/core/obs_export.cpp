@@ -28,6 +28,7 @@ obs::Json partitionStatsJson(const PartitionStats& stats) {
   j["merges_b"] = stats.mergesB;
   j["merges_c"] = stats.mergesC;
   j["rejected_merges"] = stats.rejectedMerges;
+  j["capped_merges"] = stats.cappedMerges;
   j["small_remaining"] = stats.smallRemaining;
   j["cut_edges"] = static_cast<uint64_t>(stats.cutEdges < 0 ? 0 : stats.cutEdges);
   return j;
@@ -115,11 +116,6 @@ obs::Json farmReportJson(const FarmReport& report) {
     lane["group_partition_skips"] = report.lane.groupPartitionSkips;
     lane["masked_lane_skips"] = report.lane.maskedLaneSkips;
     j["lane"] = std::move(lane);
-  }
-  if (!report.warnings.empty()) {
-    obs::Json warns = obs::Json::array();
-    for (const std::string& w : report.warnings) warns.push(w);
-    j["warnings"] = std::move(warns);
   }
   obs::Json rows = obs::Json::array();
   for (const FarmInstanceResult& r : report.instances) {

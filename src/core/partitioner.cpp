@@ -11,6 +11,10 @@
 namespace essent::core {
 namespace {
 
+// Outcome of one merge attempt: done, refused by C_max, or refused by the
+// external-path test.
+enum class MergeResult { Merged, TooBig, Cyclic };
+
 // Incremental partition merger.
 //
 // Maintains the contracted partition graph (with edge multiplicities),
@@ -24,8 +28,8 @@ namespace {
 // the merged partition to keep the order valid.
 class Merger {
  public:
-  Merger(const Netlist& nl, std::vector<int32_t> partOf, int32_t numParts)
-      : nl_(nl), partOf_(std::move(partOf)) {
+  Merger(const Netlist& nl, std::vector<int32_t> partOf, int32_t numParts, uint32_t maxSize)
+      : nl_(nl), partOf_(std::move(partOf)), maxSize_(maxSize) {
     members_.resize(static_cast<size_t>(numParts));
     for (size_t n = 0; n < partOf_.size(); n++)
       members_[static_cast<size_t>(partOf_[n])].push_back(static_cast<int32_t>(n));
@@ -81,11 +85,12 @@ class Merger {
     return out;
   }
 
-  // Merges a and b if legal (no external path between them); returns false
-  // when the merge would create a cycle. On success the surviving partition
-  // is `a` (by id) regardless of order.
-  bool tryMerge(int32_t a, int32_t b) {
-    if (a == b || !alive(a) || !alive(b)) return false;
+  // Merges a and b if legal: the result fits in C_max (else TooBig) and no
+  // external path runs between them (else Cyclic). On success the surviving
+  // partition is `a` (by id) regardless of order.
+  MergeResult tryMerge(int32_t a, int32_t b) {
+    if (a == b || !alive(a) || !alive(b)) return MergeResult::Cyclic;
+    if (size(a) + size(b) > maxSize_) return MergeResult::TooBig;
     int32_t low = pos_[static_cast<size_t>(a)] < pos_[static_cast<size_t>(b)] ? a : b;
     int32_t high = low == a ? b : a;
     int32_t hiPos = pos_[static_cast<size_t>(high)];
@@ -109,7 +114,7 @@ class Merger {
       order_[static_cast<size_t>(loPos)] = a;
       pos_[static_cast<size_t>(a)] = loPos;
       order_[static_cast<size_t>(hiPos)] = -1;  // hole
-      return true;
+      return MergeResult::Merged;
     }
     // Window-bounded BFS from low. Any discovered intermediate with an edge
     // into high is an external path (the direct low->high edge is fine).
@@ -124,7 +129,7 @@ class Merger {
       for (const auto& [succ, cnt] : out_[static_cast<size_t>(v)]) {
         (void)cnt;
         if (succ == high) {
-          if (v != low) return false;  // external path
+          if (v != low) return MergeResult::Cyclic;  // external path
           continue;
         }
         if (pos_[static_cast<size_t>(succ)] > hiPos) continue;  // exact pruning
@@ -135,7 +140,7 @@ class Merger {
       }
     }
     mergeInternal(a, b, low, high, forward);
-    return true;
+    return MergeResult::Merged;
   }
 
   // Finalizes into a compact Partitioning.
@@ -172,6 +177,7 @@ class Merger {
  private:
   const Netlist& nl_;
   std::vector<int32_t> partOf_;
+  const size_t maxSize_;  // C_max
   std::vector<std::vector<int32_t>> members_;
   std::vector<bool> alive_;
   std::vector<std::unordered_map<int32_t, int32_t>> out_, in_;
@@ -289,11 +295,16 @@ Partitioning partitionNetlist(const Netlist& nl, const PartitionOptions& opts) {
   std::vector<int32_t> initial;
   {
     obs::ScopedPhaseTimer phaseTimer("mffc");
-    initial = mffcDecompose(nl.g, &numParts);
+    initial = mffcDecompose(nl.g, &numParts, opts.maxPartitionSize);
   }
   stats.initialParts = static_cast<size_t>(numParts);
 
-  Merger merger(nl, std::move(initial), numParts);
+  Merger merger(nl, std::move(initial), numParts, opts.maxPartitionSize);
+  // Tallies one merge attempt that did not happen.
+  auto countRefusal = [&stats](MergeResult r) {
+    if (r == MergeResult::TooBig) stats.cappedMerges++;
+    else stats.rejectedMerges++;
+  };
 
   // --- Phase A: merge single-parent partitions into their parents. ---
   // Worklist formulation: a partition can newly become single-parent only
@@ -337,14 +348,17 @@ Partitioning partitionNetlist(const Netlist& nl, const PartitionOptions& opts) {
       std::sort(nbrScratch.begin() + 1, nbrScratch.end());  // determinism
       // Single-parent merges cannot create cycles (an external path
       // parent->C->p would require a second in-neighbor of p), but they
-      // still go through tryMerge for order maintenance.
-      if (merger.tryMerge(parent, p)) {
-        stats.mergesA++;
-        for (int32_t q : nbrScratch) {
-          if (!queued[static_cast<size_t>(q)]) {
-            queued[static_cast<size_t>(q)] = 1;
-            work.push_back(q);
-          }
+      // still go through tryMerge for order maintenance and the C_max cap.
+      MergeResult r = merger.tryMerge(parent, p);
+      if (r != MergeResult::Merged) {
+        countRefusal(r);
+        continue;
+      }
+      stats.mergesA++;
+      for (int32_t q : nbrScratch) {
+        if (!queued[static_cast<size_t>(q)]) {
+          queued[static_cast<size_t>(q)] = 1;
+          work.push_back(q);
         }
       }
     }
@@ -384,14 +398,15 @@ Partitioning partitionNetlist(const Netlist& nl, const PartitionOptions& opts) {
             acc = p;
             continue;
           }
-          if (merger.tryMerge(acc, p)) {
+          MergeResult r = merger.tryMerge(acc, p);
+          if (r == MergeResult::Merged) {
             stats.mergesB++;
             mergesThisPass++;
             // Small-with-small only: once the group stops being small it
             // stops absorbing (keeps coarsening gradual in C_p).
             if (!isSmall(acc)) acc = -1;
           } else {
-            stats.rejectedMerges++;
+            countRefusal(r);
           }
         }
       }
@@ -433,12 +448,13 @@ Partitioning partitionNetlist(const Netlist& nl, const PartitionOptions& opts) {
         });
         for (const auto& [score, c] : ranked) {
           (void)score;
-          if (merger.tryMerge(c, p)) {
+          MergeResult r = merger.tryMerge(c, p);
+          if (r == MergeResult::Merged) {
             stats.mergesC++;
             mergesThisPass++;
             break;
           }
-          stats.rejectedMerges++;
+          countRefusal(r);
         }
       }
       if (mergesThisPass == 0) break;

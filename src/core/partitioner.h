@@ -13,8 +13,17 @@
 // would create a cycle in the partition graph (Figure 2) and destroy the
 // singular static schedule.
 //
-// C_p is the single, design-insensitive tuning parameter; the paper selects
-// C_p = 8 (reproduced by bench_fig6_cp_sweep).
+// C_p is the paper's single, design-insensitive tuning parameter; the paper
+// selects C_p = 8 (reproduced by bench_fig6_cp_sweep).
+//
+// Departure from the paper: C_max, an upper bound on partition size. The
+// paper only merges, so C_p is a lower bound and an MFFC is never split; at
+// boom scale one MFFC (TinySoC's status XOR tree, 22k ops) wakes whenever
+// any of its leaves changes. With C_max, the MFFC decomposition caps cones
+// at C_max nodes (see mffc.h) and every merge phase refuses a merge whose
+// result would exceed it, so no partition is larger than C_max. The default
+// is one design-independent value picked by bench_fig6_cp_sweep's C_max
+// axis; kUnboundedPartitionSize reproduces the paper's partitioner exactly.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +34,8 @@
 
 namespace essent::core {
 
+inline constexpr uint32_t kUnboundedPartitionSize = UINT32_MAX;
+
 struct PartitionOptions {
   // C_p: partitions smaller than this are "small" and get merged in
   // phases B/C. 0 disables both sibling phases (pure MFFC + phase A).
@@ -34,6 +45,8 @@ struct PartitionOptions {
   bool phaseAnySibling = true;
   // Fixpoint bound for the sibling phases.
   uint32_t maxPasses = 8;
+  // C_max: no partition holds more than this many netlist nodes (>= 1).
+  uint32_t maxPartitionSize = 256;
 };
 
 struct PartitionStats {
@@ -45,6 +58,7 @@ struct PartitionStats {
   size_t mergesB = 0;
   size_t mergesC = 0;
   size_t rejectedMerges = 0;  // failed the external-path test
+  size_t cappedMerges = 0;    // refused: the result would exceed C_max
   size_t smallRemaining = 0;  // partitions still below C_p at the end
   int64_t cutEdges = 0;       // node-level edges crossing partitions
 };

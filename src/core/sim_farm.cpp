@@ -34,14 +34,12 @@ SimFarm::SimFarm(std::shared_ptr<const sim::CompiledDesign> design, FarmOptions 
         "SimFarm cannot run engine kind 'codegen' (out-of-process simulator)");
 }
 
-FarmInstanceResult SimFarm::runOne(size_t index, const FarmJob& job, sim::EngineKind kind,
-                                   std::vector<std::string>& warnings) const {
+FarmInstanceResult SimFarm::runOne(size_t index, const FarmJob& job,
+                                   sim::EngineKind kind) const {
   FarmInstanceResult r;
   r.index = index;
   r.name = job.name.empty() ? "job" + std::to_string(index) : job.name;
-  sim::EngineOptions eo = opts_.engine;
-  eo.warnings = &warnings;  // per-instance vector; merged by the caller
-  std::unique_ptr<sim::Engine> eng = sim::makeEngine(kind, design_, eo);
+  std::unique_ptr<sim::Engine> eng = sim::makeEngine(kind, design_, opts_.engine);
   if (job.init) job.init(*eng);
   sim::StimulusFn stim = job.stimulus;
   if (opts_.guard) {
@@ -80,8 +78,7 @@ FarmInstanceResult SimFarm::runOne(size_t index, const FarmJob& job, sim::Engine
 // or a group-wide tick failure) are retired and their jobs re-run on scalar
 // CCSS engines so the batch result never depends on the SIMD path working.
 void SimFarm::runLaneGroup(size_t base, unsigned count, const std::vector<FarmJob>& jobs,
-                           FarmReport& report, std::vector<std::string>& warnings,
-                           std::mutex& mergeMu) const {
+                           FarmReport& report, std::mutex& mergeMu) const {
   std::vector<uint8_t> failed(count, 0);
   std::vector<std::string> failReason(count);
   double groupWall = 0.0;
@@ -211,7 +208,7 @@ void SimFarm::runLaneGroup(size_t base, unsigned count, const std::vector<FarmJo
       report.lane.scalarFallbacks++;
     }
     try {
-      report.instances[index] = runOne(index, jobs[index], sim::EngineKind::Ccss, warnings);
+      report.instances[index] = runOne(index, jobs[index], sim::EngineKind::Ccss);
     } catch (const support::ResourceExhausted& e) {
       report.instances[index].index = index;
       report.instances[index].name =
@@ -236,11 +233,7 @@ FarmReport SimFarm::run(const std::vector<FarmJob>& jobs) {
   // once, up front, by constructing and discarding one engine: otherwise the
   // first claimed instance on every worker would serialize on the extension
   // cache mutex inside the timed region.
-  {
-    sim::EngineOptions eo = opts_.engine;
-    eo.warnings = nullptr;
-    sim::makeEngine(opts_.kind, design_, eo);
-  }
+  sim::makeEngine(opts_.kind, design_, opts_.engine);
 
   // Work units the claim cursor walks: one unit per job, or — for
   // EngineKind::Lane — one unit per lane BLOCK of `engine.lanes` jobs, with
@@ -259,7 +252,7 @@ FarmReport SimFarm::run(const std::vector<FarmJob>& jobs) {
   report.instances.resize(jobs.size());
 
   std::atomic<size_t> cursor{0};
-  std::mutex mergeMu;  // guards report.warnings + report.lane (instances are index-disjoint)
+  std::mutex mergeMu;  // guards report.lane (instances are index-disjoint)
 
   // Per-batch wall-time histogram (snapshotted into the report) plus the
   // process-wide aggregates that merge into --stats-json. The references
@@ -282,7 +275,6 @@ FarmReport SimFarm::run(const std::vector<FarmJob>& jobs) {
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - t0)
               .count()));
-      std::vector<std::string> warnings;
       if (laneMode && u < numGroups) {
         // Lane block: laneWidth jobs on one SIMD group engine.
         const size_t base = u * laneWidth;
@@ -290,7 +282,7 @@ FarmReport SimFarm::run(const std::vector<FarmJob>& jobs) {
         obs::TraceSpan span("farm.lane_group", obs::TraceCat::None,
                             obs::TraceDetail::Phase, "group", u);
         groupCounter.add(1);
-        runLaneGroup(base, laneWidth, jobs, report, warnings, mergeMu);
+        runLaneGroup(base, laneWidth, jobs, report, mergeMu);
         for (unsigned l = 0; l < laneWidth; l++) {
           const FarmInstanceResult& r = report.instances[base + l];
           if (!r.error.empty()) continue;
@@ -314,7 +306,7 @@ FarmReport SimFarm::run(const std::vector<FarmJob>& jobs) {
         // ThreadPool tasks must not throw; trap per-instance failures into
         // the result so one bad job cannot take down the batch.
         try {
-          report.instances[i] = runOne(i, jobs[i], kind, warnings);
+          report.instances[i] = runOne(i, jobs[i], kind);
           uint64_t wallNs =
               static_cast<uint64_t>(report.instances[i].seconds * 1e9);
           batchHist.record(wallNs);
@@ -332,13 +324,6 @@ FarmReport SimFarm::run(const std::vector<FarmJob>& jobs) {
               jobs[i].name.empty() ? "job" + std::to_string(i) : jobs[i].name;
           report.instances[i].error = e.what();
         }
-      }
-      if (!warnings.empty()) {
-        std::lock_guard<std::mutex> lock(mergeMu);
-        for (std::string& w : warnings)
-          if (std::find(report.warnings.begin(), report.warnings.end(), w) ==
-              report.warnings.end())
-            report.warnings.push_back(std::move(w));
       }
     }
   };

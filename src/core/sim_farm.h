@@ -94,8 +94,9 @@ struct FarmReport {
   uint64_t totalCycles = 0;   // sum over instances
   double instancesPerSec = 0.0;
   double aggregateCyclesPerSec = 0.0;  // totalCycles / wallSeconds
-  // Degradation messages from engine construction (EngineOptions::warnings),
-  // deduplicated across instances.
+  // Deprecated: always empty, because engine construction no longer
+  // degrades (see EngineOptions::warnings). Kept for one release; removed
+  // in the next.
   std::vector<std::string> warnings;
   // Distribution of per-instance wall times (ns) across the batch —
   // p50/p99 here are the daemon-facing latency numbers (Open item 3).
@@ -118,8 +119,8 @@ struct FarmOptions {
   // core::LaneEngine; remainder jobs and errored lanes fall back to scalar
   // CCSS engines. Results stay bit-identical to solo runs either way.
   sim::EngineKind kind = sim::EngineKind::Ccss;
-  // Per-instance engine options (schedule knobs, profiling). The warnings
-  // pointer is ignored — degradation messages land in FarmReport::warnings.
+  // Per-instance engine options (schedule knobs, profiling). The deprecated
+  // warnings pointer is ignored.
   sim::EngineOptions engine;
   // Farm worker lanes (including the calling thread); 0 = the
   // support::ThreadPool::defaultThreadCount() heuristic ($ESSENT_THREADS,
@@ -150,11 +151,9 @@ class SimFarm {
   const FarmOptions& options() const { return opts_; }
 
  private:
-  FarmInstanceResult runOne(size_t index, const FarmJob& job, sim::EngineKind kind,
-                            std::vector<std::string>& warnings) const;
+  FarmInstanceResult runOne(size_t index, const FarmJob& job, sim::EngineKind kind) const;
   void runLaneGroup(size_t base, unsigned count, const std::vector<FarmJob>& jobs,
-                    FarmReport& report, std::vector<std::string>& warnings,
-                    std::mutex& mergeMu) const;
+                    FarmReport& report, std::mutex& mergeMu) const;
 
   std::shared_ptr<const sim::CompiledDesign> design_;
   FarmOptions opts_;

@@ -7,6 +7,7 @@
 
 #include "codegen/emitter.h"
 #include "core/activity_engine.h"
+#include "core/lane_engine.h"
 #include "sim/builder.h"
 #include "sim/event_driven.h"
 #include "sim/full_cycle.h"
@@ -292,6 +293,7 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
   bool wantCodegen = wants(EngineKind::Codegen);
   std::string code;
   core::ScheduleOptions so;
+  so.partition = opts.partition;
   if (wantCodegen) {
     try {
       core::CondPartSchedule sched = core::buildSchedule(core::Netlist::build(irOpt), so);
@@ -309,24 +311,25 @@ OracleResult runOracle(const std::string& firrtlText, const Stimulus& stim,
   // the comparison, and the codegen trace needs an in-process twin).
   std::vector<std::unique_ptr<sim::Engine>> own;
   std::vector<std::pair<std::string, sim::Engine*>> list;
-  auto addEngineOpts = [&](EngineKind k, const std::shared_ptr<const sim::CompiledDesign>& d,
-                           const sim::EngineOptions& eo) {
-    own.push_back(sim::makeEngine(k, d, eo));
+  auto add = [&](EngineKind k, std::unique_ptr<sim::Engine> eng) {
+    own.push_back(std::move(eng));
     list.push_back({engineKindName(k), own.back().get()});
   };
-  auto addEngine = [&](EngineKind k, const std::shared_ptr<const sim::CompiledDesign>& d) {
-    addEngineOpts(k, d, {});
-  };
-  addEngine(EngineKind::FullCycle, refDesign);
-  if (wants(EngineKind::EventDriven)) addEngine(EngineKind::EventDriven, optDesign);
-  if (wants(EngineKind::Ccss)) addEngine(EngineKind::Ccss, optDesign);
+  add(EngineKind::FullCycle, sim::makeEngine(EngineKind::FullCycle, refDesign));
+  if (wants(EngineKind::EventDriven))
+    add(EngineKind::EventDriven, sim::makeEngine(EngineKind::EventDriven, optDesign));
+  // The CCSS members are built from the schedule directly so they honour
+  // opts.partition (EngineOptions carries only C_p).
+  if (wants(EngineKind::Ccss))
+    add(EngineKind::Ccss,
+        std::make_unique<core::ActivityEngine>(core::CompiledCcss::get(optDesign, so)));
   if (wants(EngineKind::Lane)) {
     // Broadcast adapter over a multi-lane group: every lane computes the
     // same run through the SoA/SIMD path, so a divergence here pins a
     // lane-kernel bug against the scalar engines.
-    sim::EngineOptions laneOpts;
-    laneOpts.lanes = opts.laneCount;
-    addEngineOpts(EngineKind::Lane, optDesign, laneOpts);
+    const unsigned lanes = std::clamp(opts.laneCount, 1u, 64u);
+    add(EngineKind::Lane, std::make_unique<core::LaneBroadcastEngine>(
+                              core::CompiledCcss::get(optDesign, so), lanes));
   }
 
   // Traced signals for the codegen comparison: outputs and registers of the

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/partitioner.h"
 #include "fuzz/stimulus.h"
 #include "sim/engine.h"
 #include "sim/engine_factory.h"
@@ -64,6 +65,10 @@ struct OracleOptions {
   // lanes; every lane runs the full SIMD path on the same stimulus). 8
   // fills one AVX-512 vector while keeping the arena small.
   unsigned laneCount = 8;
+  // Partitioner knobs (C_p, C_max) for the schedule the ccss, lane and
+  // codegen members share. Shrinking maxPartitionSize forces heavy cone
+  // splitting, so a tiny C_max stresses cross-partition wakes.
+  core::PartitionOptions partition;
   // Host compiler for the codegen path; -O1 keeps fuzz turnaround fast
   // while still letting the optimizer exploit any UB in the emitted code.
   std::string compilerCmd = "c++ -std=c++20 -O1";

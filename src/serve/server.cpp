@@ -517,7 +517,6 @@ obs::Json Server::handleRun(const Request& req) {
   // only earn a W0601 warning.
   std::vector<std::string> warnings;
   if (req.options.threadsIgnored) warnings.push_back(sim::kSerialCcssFallback);
-  eo.warnings = &warnings;
   const sim::EngineKind kind = req.options.kind;
 
   Clock::time_point t0 = Clock::now();
@@ -552,7 +551,6 @@ obs::Json Server::handleRun(const Request& req) {
     core::FarmOptions fo;
     fo.kind = kind;
     fo.engine = eo;
-    fo.engine.warnings = nullptr;
     fo.workers = opts_.farmWorkers;
     fo.guard = &guard;  // shared wall budget across every instance
     std::vector<core::FarmJob> jobs(req.batch);
@@ -565,8 +563,6 @@ obs::Json Server::handleRun(const Request& req) {
     core::SimFarm farm(res.design, fo);
     core::FarmReport report = farm.run(jobs);
     guard.checkDeadline();
-    for (const std::string& w : report.warnings)
-      if (std::find(warnings.begin(), warnings.end(), w) == warnings.end()) warnings.push_back(w);
     obs::Json farmDoc = obs::Json::object();
     farmDoc["instances"] = static_cast<uint64_t>(report.instances.size());
     farmDoc["workers"] = report.workers;

@@ -81,8 +81,9 @@ struct EngineOptions {
   bool profiling = false;
   // Activity-timeline bucket width in cycles when profiling is on.
   uint32_t profileWindow = 256;
-  // When non-null, degradation messages from engine construction are
-  // appended here instead of being dropped.
+  // Deprecated: nothing writes here any more (no engine kind degrades to
+  // another since the parallel CCSS engine was removed). Kept for one
+  // release; removed in the next.
   std::vector<std::string>* warnings = nullptr;
 };
 

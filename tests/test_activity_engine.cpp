@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
 #include "core/activity_engine.h"
 #include "designs/blocks.h"
 #include "designs/gcd.h"
+#include "designs/systolic.h"
 #include "sim/compile.h"
 #include "sim/full_cycle.h"
 #include "sim/harness.h"
@@ -271,6 +274,231 @@ TEST(ActivityEngine, FineAndMonolithicDegenerateSchedulesWork) {
     EXPECT_FALSE(mismatch.has_value())
         << "parts=" << p.numPartitions() << ": " << mismatch->describe();
   }
+}
+
+
+// --- The word-scanned active set ---------------------------------------------
+//
+// The activity flags are bits in 64-bit words; these tests pin the scan's
+// edge cases: partition counts that leave a partial last word, wakes that
+// cross a word boundary, wakes of earlier bits in the word being swept, and
+// re-activation by resetState / restoreState.
+
+sim::BuildOptions unoptimized() {
+  sim::BuildOptions raw;
+  raw.constProp = raw.cse = raw.dce = false;
+  return raw;
+}
+
+// `stages` increment stages in one combinational chain from input a to
+// output o. Unoptimized and finely partitioned, every op is a partition,
+// and each stage wakes the next one in schedule order.
+std::string chainFirrtl(int stages) {
+  std::string s = "circuit Chain :\n  module Chain :\n    input clock : Clock\n"
+                  "    input a : UInt<8>\n    output o : UInt<8>\n";
+  std::string prev = "a";
+  for (int i = 0; i < stages; i++) {
+    std::string name = "n" + std::to_string(i);
+    s += "    node " + name + " = tail(add(" + prev + ", UInt<8>(1)), 1)\n";
+    prev = name;
+  }
+  s += "    o <= " + prev + "\n";
+  return s;
+}
+
+// `n` free-running counters with distinct strides, each visible on an
+// output. Each counter's partition wakes itself through its elided
+// register.
+std::string countersFirrtl(int n) {
+  std::string s = "circuit Counters :\n  module Counters :\n    input clock : Clock\n";
+  for (int i = 0; i < n; i++) s += "    output q" + std::to_string(i) + " : UInt<8>\n";
+  for (int i = 0; i < n; i++) {
+    std::string r = "r" + std::to_string(i);
+    s += "    reg " + r + " : UInt<8>, clock\n";
+    s += "    " + r + " <= tail(add(" + r + ", UInt<8>(" + std::to_string(i % 7 + 1) + ")), 1)\n";
+    s += "    q" + std::to_string(i) + " <= " + r + "\n";
+  }
+  return s;
+}
+
+std::unique_ptr<ActivityEngine> fineEngine(const SimIR& ir) {
+  Netlist nl = Netlist::build(ir);
+  CondPartSchedule sched = buildScheduleFrom(nl, finePartitioning(nl), true);
+  return std::make_unique<ActivityEngine>(
+      core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), std::move(sched)));
+}
+
+// True when partition `pos` directly wakes `target` through an output or an
+// elided state write.
+bool wakesDirectly(const CondPartSchedule& sched, size_t pos, int32_t target) {
+  const CondPart& part = sched.parts[pos];
+  auto has = [target](const std::vector<int32_t>& v) {
+    return std::find(v.begin(), v.end(), target) != v.end();
+  };
+  for (const auto& o : part.outputs)
+    if (has(o.consumers)) return true;
+  for (const auto& rw : part.regWrites)
+    if (has(rw.wakeParts)) return true;
+  return false;
+}
+
+// Partitions some wake list can reach (constant-only partitions never wake
+// again after the first cycle).
+size_t wakeablePartitions(const CondPartSchedule& sched) {
+  std::vector<bool> hit(sched.numPartitions(), false);
+  auto mark = [&hit](const std::vector<int32_t>& v) {
+    for (int32_t p : v) hit[static_cast<size_t>(p)] = true;
+  };
+  for (const auto& ic : sched.inputConsumers) mark(ic);
+  for (const auto& rw : sched.deferredRegs) mark(rw.wakeParts);
+  for (const auto& part : sched.parts) {
+    for (const auto& o : part.outputs) mark(o.consumers);
+    for (const auto& rw : part.regWrites) mark(rw.wakeParts);
+  }
+  return static_cast<size_t>(std::count(hit.begin(), hit.end(), true));
+}
+
+TEST(ActivityEngineScan, WakeFromBit63ReachesNextWordSameCycle) {
+  const int stages = 100;
+  SimIR ir = sim::buildFromFirrtl(chainFirrtl(stages), unoptimized());
+  auto eng = fineEngine(ir);
+  const size_t parts = eng->schedule().numPartitions();
+  ASSERT_GT(parts, 128u);
+  ASSERT_NE(parts % 64, 0u) << "want a partial last word";
+  // Every word boundary is crossed by a direct wake in this chain.
+  for (size_t pos = 63; pos + 1 < parts; pos += 64)
+    ASSERT_TRUE(wakesDirectly(eng->schedule(), pos, static_cast<int32_t>(pos + 1)))
+        << "partition " << pos << " does not wake " << pos + 1;
+
+  const size_t woken = wakeablePartitions(eng->schedule());
+  ASSERT_GT(woken, 128u);
+
+  eng->poke("a", 0);
+  eng->tick();
+  EXPECT_EQ(eng->stats().partitionActivations, parts);
+  EXPECT_EQ(eng->peek("o"), static_cast<uint64_t>(stages % 256));
+  // One input change ripples through all words within the same cycle.
+  eng->poke("a", 5);
+  eng->tick();
+  EXPECT_EQ(eng->stats().partitionActivations, parts + woken);
+  EXPECT_EQ(eng->peek("o"), static_cast<uint64_t>((5 + stages) % 256));
+  eng->tick();  // nothing changed: nothing runs
+  EXPECT_EQ(eng->stats().partitionActivations, parts + woken);
+  EXPECT_EQ(eng->stats().partitionChecks, 3 * parts);
+}
+
+TEST(ActivityEngineScan, WakeOfEarlierPartitionInWordWaitsForNextCycle) {
+  SimIR ir = sim::buildFromFirrtl(R"(
+circuit Cnt :
+  module Cnt :
+    input clock : Clock
+    output q : UInt<8>
+    reg r : UInt<8>, clock
+    r <= tail(add(r, UInt<8>(1)), 1)
+    q <= r
+)",
+                                  unoptimized());
+  auto eng = fineEngine(ir);
+  const CondPartSchedule& sched = eng->schedule();
+  const size_t parts = sched.numPartitions();
+  ASSERT_LT(parts, 64u);
+  // The register write sits after its readers and wakes them backwards.
+  ASSERT_EQ(sched.elidedRegs, 1u);
+  bool backwardWake = false;
+  for (size_t pos = 0; pos < parts; pos++)
+    for (const auto& rw : sched.parts[pos].regWrites)
+      for (int32_t reader : rw.wakeParts) backwardWake |= static_cast<size_t>(reader) < pos;
+  ASSERT_TRUE(backwardWake);
+
+  // After the first cycle every wakeable partition runs exactly once per
+  // cycle: a backward wake re-running a reader this cycle would
+  // double-count and advance r twice.
+  const size_t woken = wakeablePartitions(sched);
+  eng->tick();
+  for (uint64_t c = 2; c <= 50; c++) {
+    eng->tick();
+    ASSERT_EQ(eng->stats().partitionActivations, parts + (c - 1) * woken) << "cycle " << c;
+    ASSERT_EQ(eng->peek("r"), c);
+  }
+}
+
+TEST(ActivityEngineScan, SelfWakingPartitionsAcrossWords) {
+  SimIR ir = sim::buildFromFirrtl(countersFirrtl(100));
+  // No sibling merges (C_p = 0): each counter keeps its own partition.
+  ScheduleOptions so;
+  so.partition.smallThreshold = 0;
+  ActivityEngine eng(core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), so));
+  const CondPartSchedule& sched = eng.schedule();
+  const size_t parts = sched.numPartitions();
+  ASSERT_GT(parts, 128u);
+  ASSERT_NE(parts % 64, 0u);
+  // Partitions that wake themselves through their elided register sit in
+  // every word.
+  std::vector<bool> wordHasSelfWake((parts + 63) / 64, false);
+  for (size_t pos = 0; pos < parts; pos++)
+    if (wakesDirectly(sched, pos, static_cast<int32_t>(pos))) wordHasSelfWake[pos / 64] = true;
+  for (size_t w = 0; w < wordHasSelfWake.size(); w++)
+    ASSERT_TRUE(wordHasSelfWake[w]) << "word " << w;
+
+  FullCycleEngine ref(sim::CompiledDesign::compile(ir));
+  auto mismatch = sim::compareEngines(ref, eng, 40);
+  EXPECT_FALSE(mismatch.has_value()) << mismatch->describe();
+  // Every counter changes every cycle, so every wakeable partition runs
+  // exactly once per cycle after the first — never twice, never skipped.
+  EXPECT_EQ(eng.stats().partitionActivations, parts + 39 * wakeablePartitions(sched));
+  EXPECT_EQ(eng.stats().partitionChecks, 40 * parts);
+}
+
+TEST(ActivityEngineScan, ResetAndRestoreReactivateExactlyEveryPartition) {
+  SimIR ir = sim::buildFromFirrtl(chainFirrtl(100), unoptimized());
+  auto eng = fineEngine(ir);
+  const size_t parts = eng->schedule().numPartitions();
+  ASSERT_NE(parts % 64, 0u);
+  eng->poke("a", 9);
+  for (int i = 0; i < 3; i++) eng->tick();
+  EXPECT_EQ(eng->stats().partitionActivations, parts);  // idle after cycle 1
+  sim::Engine::Snapshot snap = eng->saveState();
+
+  // resetState: all partitions (and no tail bit past the last) run once.
+  eng->resetState();
+  eng->poke("a", 9);
+  eng->tick();
+  EXPECT_EQ(eng->stats().partitionActivations, parts);
+  eng->tick();
+  EXPECT_EQ(eng->stats().partitionActivations, parts);
+
+  // restoreState clobbers state behind the engine's back: same rule.
+  eng->restoreState(snap);
+  eng->tick();
+  EXPECT_EQ(eng->stats().partitionActivations, 2 * parts);
+  EXPECT_EQ(eng->peek("o"), static_cast<uint64_t>((9 + 100) % 256));
+}
+
+TEST(ActivityEngineScan, MatchesFullCycleOnManyPartitions) {
+  designs::SystolicConfig cfg;
+  cfg.rows = cfg.cols = 8;
+  SimIR ir = sim::buildFromFirrtl(designs::systolicFirrtl(cfg));
+  ActivityEngine act(
+      core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), ScheduleOptions{}));
+  ASSERT_GT(act.schedule().numPartitions(), 128u);
+  FullCycleEngine ref(sim::CompiledDesign::compile(ir));
+  const uint64_t cycles = 300;
+  // Input i changes on one cycle in (i % 5 + 1), so activity stays partial.
+  auto mismatch = sim::compareEngines(ref, act, cycles, [](sim::Engine& e, uint64_t c) {
+    const SimIR& ir = e.ir();
+    for (size_t i = 0; i < ir.inputs.size(); i++) {
+      const std::string& name = ir.signals[static_cast<size_t>(ir.inputs[i])].name;
+      if (name == "reset") {
+        e.poke(name, c < 2);
+        continue;
+      }
+      uint64_t epoch = c / (i % 5 + 1);
+      e.poke(name, (epoch * 2654435761ull + i * 40503ull) >> (i % 13));
+    }
+  });
+  EXPECT_FALSE(mismatch.has_value()) << mismatch->describe();
+  EXPECT_EQ(act.stats().partitionChecks, cycles * act.schedule().numPartitions());
+  EXPECT_LT(act.stats().partitionActivations, act.stats().partitionChecks);
 }
 
 }  // namespace

@@ -108,6 +108,25 @@ TEST(Oracle, CleanCircuitsAgreeInProcess) {
   }
 }
 
+// Heavy cone splitting: at C_max = 4 nearly every MFFC is split and most
+// merges are refused, so cross-partition wakes carry the whole design. The
+// ccss and lane members must still match the full-cycle reference.
+TEST(Oracle, CcssAndLaneAgreeUnderTinyPartitionCap) {
+  OracleOptions oo;
+  oo.engines = {EngineKind::FullCycle, EngineKind::Ccss, EngineKind::Lane};
+  oo.partition.maxPartitionSize = 4;
+  for (uint64_t seed = 7000; seed < 7300; seed++) {
+    GenOptions gen;
+    gen.allowWide = seed % 7 == 0;
+    std::string fir = generateCircuit(seed, gen);
+    sim::SimIR ir = sim::buildFromFirrtl(fir);
+    Stimulus stim = randomStimulus(ir, seed * 3, 60, seed % 2 ? 0.5 : 0.1);
+    OracleResult r = runOracle(fir, stim, oo);
+    EXPECT_TRUE(r.ok()) << "seed " << seed << ": "
+                        << (r.divergence ? r.divergence->describe() : r.buildError);
+  }
+}
+
 TEST(Oracle, CleanCircuitsAgreeCompiled) {
   OracleOptions oo;  // all five engines, codegen included
   for (uint64_t seed : {11ull, 22ull, 33ull}) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "core/elision.h"
 #include "core/mffc.h"
@@ -13,6 +14,7 @@
 #include "core/partitioner.h"
 #include "core/schedule.h"
 #include "designs/blocks.h"
+#include "designs/tinysoc.h"
 #include "sim/compile.h"
 #include "support/rng.h"
 
@@ -262,6 +264,181 @@ TEST(Schedule, OutputConsumersPointForward) {
       }
     }
   }
+}
+
+
+// --- C_max: the partition-size cap -----------------------------------------
+
+// A random DAG shaped like hardware cones: most nodes feed one later node,
+// some feed two, so fanout-free cones grow large enough for the cap to bite.
+DiGraph coneHeavyDag(uint64_t seed, int n) {
+  Rng rng(seed);
+  DiGraph g(n);
+  for (int i = 0; i + 1 < n; i++) {
+    int fanout = rng.nextChance(0.15) ? 2 : 1;
+    for (int k = 0; k < fanout; k++) {
+      int hi = std::min(n - 1, i + 24);
+      g.addEdge(i, static_cast<graph::NodeId>(rng.nextRange(static_cast<uint64_t>(i) + 1,
+                                                            static_cast<uint64_t>(hi))));
+    }
+  }
+  return g;
+}
+
+size_t largestPartition(const Partitioning& p) {
+  size_t mx = 0;
+  for (const auto& m : p.members) mx = std::max(mx, m.size());
+  return mx;
+}
+
+const uint32_t kDefaultCmax = PartitionOptions{}.maxPartitionSize;
+
+TEST(Mffc, CappedConesCoverEveryNodeOnceWithinCap) {
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    DiGraph g = coneHeavyDag(seed, 600);
+    int32_t unboundedParts = 0;
+    auto unbounded = mffcDecompose(g, &unboundedParts);
+    for (uint32_t cmax : {1u, 4u, 16u, kDefaultCmax}) {
+      int32_t parts = 0;
+      auto partOf = mffcDecompose(g, &parts, cmax);
+      ASSERT_EQ(partOf.size(), static_cast<size_t>(g.numNodes()));
+      std::vector<uint32_t> size(static_cast<size_t>(parts), 0);
+      for (int32_t p : partOf) {
+        ASSERT_GE(p, 0);
+        ASSERT_LT(p, parts);
+        size[static_cast<size_t>(p)]++;
+      }
+      for (uint32_t s : size) {
+        EXPECT_GE(s, 1u);  // ids are dense
+        EXPECT_LE(s, cmax) << "seed " << seed << " cmax " << cmax;
+      }
+      EXPECT_GE(parts, unboundedParts);
+      // Still fanout-free with a single root: at most one member per cone
+      // has a consumer outside it.
+      std::vector<int> escaping(static_cast<size_t>(parts), 0);
+      for (graph::NodeId v = 0; v < g.numNodes(); v++) {
+        bool escapes = false;
+        for (graph::NodeId w : g.outNeighbors(v))
+          escapes |= partOf[static_cast<size_t>(w)] != partOf[static_cast<size_t>(v)];
+        escaping[static_cast<size_t>(partOf[static_cast<size_t>(v)])] += escapes;
+      }
+      for (int e : escaping) EXPECT_LE(e, 1) << "seed " << seed << " cmax " << cmax;
+      EXPECT_TRUE(graph::condense(g, partOf, parts).isAcyclic())
+          << "seed " << seed << " cmax " << cmax;
+    }
+    // The cap actually split something on this shape.
+    int32_t cappedParts = 0;
+    mffcDecompose(g, &cappedParts, 4);
+    EXPECT_GT(cappedParts, unboundedParts) << "seed " << seed;
+  }
+}
+
+TEST(Partitioner, CappedPartitionGraphStaysAcyclic) {
+  std::vector<std::string> texts = {designs::aluArrayFirrtl(32, 16),
+                                    designs::gatedBanksFirrtl(32, 16)};
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    designs::RandomDesignConfig cfg;
+    cfg.numNodes = 200;
+    texts.push_back(designs::randomDesignFirrtl(seed, cfg));
+  }
+  for (size_t t = 0; t < texts.size(); t++) {
+    sim::SimIR ir = buildDesign(texts[t]);
+    Netlist nl = Netlist::build(ir);
+    for (uint32_t cmax : {1u, 4u, 16u, kDefaultCmax}) {
+      PartitionOptions opts;
+      opts.maxPartitionSize = cmax;
+      Partitioning p = partitionNetlist(nl, opts);
+      EXPECT_TRUE(p.partGraph.isAcyclic()) << "design " << t << " cmax " << cmax;
+      EXPECT_LE(largestPartition(p), cmax) << "design " << t << " cmax " << cmax;
+      size_t total = 0;
+      for (const auto& m : p.members) total += m.size();
+      EXPECT_EQ(total, nl.nodes.size());
+      // The schedule built on top stays valid too.
+      CondPartSchedule sched = buildScheduleFrom(nl, p, true);
+      EXPECT_EQ(sched.numPartitions(), p.numPartitions());
+    }
+  }
+}
+
+TEST(Partitioner, MergePhasesNeverExceedCmax) {
+  sim::SimIR ir = buildDesign(designs::aluArrayFirrtl(32, 16));
+  Netlist nl = Netlist::build(ir);
+  size_t cappedSomewhere = 0;
+  for (uint32_t cmax : {4u, 8u, 12u, 16u, 40u}) {
+    // Phase A alone, A+B, then A+B+C: each prefix must respect the cap.
+    for (int phases = 1; phases <= 3; phases++) {
+      PartitionOptions opts;
+      opts.maxPartitionSize = cmax;
+      opts.phaseSmallSiblings = phases >= 2;
+      opts.phaseAnySibling = phases >= 3;
+      Partitioning p = partitionNetlist(nl, opts);
+      EXPECT_LE(largestPartition(p), cmax) << "cmax " << cmax << " phases " << phases;
+      EXPECT_TRUE(p.partGraph.isAcyclic());
+      cappedSomewhere += p.stats.cappedMerges;
+    }
+  }
+  EXPECT_GT(cappedSomewhere, 0u) << "no merge ever hit the cap; the test exercises nothing";
+}
+
+TEST(Partitioner, UnboundedCmaxReproducesUncappedPartitioner) {
+  // FNV-1a digests of partOf from the partitioner as it was before C_max
+  // existed (default options otherwise). An unbounded cap must reproduce
+  // it exactly, and so must any cap at least as large as the largest
+  // uncapped partition.
+  auto digest = [](const std::vector<int32_t>& v) {
+    uint64_t h = 1469598103934665603ull;
+    for (int32_t x : v) {
+      h ^= static_cast<uint32_t>(x);
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  struct Golden {
+    std::string text;
+    uint64_t hash;
+  };
+  std::vector<Golden> goldens = {
+      {designs::aluArrayFirrtl(32, 16), 0xf849e00e0c73b5ddull},
+      {designs::gatedBanksFirrtl(32, 16), 0x421b116248e6d0c1ull},
+      {designs::pipelineFirrtl(12, 16), 0x5e282357321dead4ull},
+      {designs::tinySoCFirrtl(designs::socR16()), 0xdc73cf6bbf9f099full},
+  };
+  const uint64_t randomHashes[] = {0x8dee38d2d97b3116ull, 0xa1e367e040c1a4cfull,
+                                   0x1410dfa55b2fb84bull, 0x699ba179cfbf99b3ull};
+  for (uint64_t seed = 1; seed <= 4; seed++) {
+    designs::RandomDesignConfig cfg;
+    cfg.numNodes = 200;
+    goldens.push_back({designs::randomDesignFirrtl(seed, cfg), randomHashes[seed - 1]});
+  }
+  for (size_t i = 0; i < goldens.size(); i++) {
+    sim::SimIR ir = sim::buildFromFirrtl(goldens[i].text);
+    Netlist nl = Netlist::build(ir);
+    PartitionOptions unbounded;
+    unbounded.maxPartitionSize = kUnboundedPartitionSize;
+    Partitioning p = partitionNetlist(nl, unbounded);
+    EXPECT_EQ(digest(p.partOf), goldens[i].hash) << "design " << i;
+    EXPECT_EQ(p.stats.cappedMerges, 0u);
+
+    PartitionOptions justFits;
+    justFits.maxPartitionSize = static_cast<uint32_t>(largestPartition(p));
+    EXPECT_EQ(partitionNetlist(nl, justFits).partOf, p.partOf) << "design " << i;
+  }
+}
+
+TEST(Partitioner, BoomPresetFitsDefaultCmax) {
+  sim::SimIR ir = sim::buildFromFirrtl(designs::tinySoCFirrtl(designs::socBoom()));
+  Netlist nl = Netlist::build(ir);
+  Partitioning p = partitionNetlist(nl);
+  EXPECT_LE(largestPartition(p), kDefaultCmax);
+  EXPECT_TRUE(p.partGraph.isAcyclic());
+}
+
+TEST(Partitioner, ZeroCmaxIsRejected) {
+  sim::SimIR ir = buildDesign(designs::counterFirrtl(8));
+  Netlist nl = Netlist::build(ir);
+  PartitionOptions opts;
+  opts.maxPartitionSize = 0;
+  EXPECT_THROW(partitionNetlist(nl, opts), std::invalid_argument);
 }
 
 }  // namespace

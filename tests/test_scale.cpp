@@ -2,16 +2,19 @@
 // sizes a unit test can afford, plus an opt-in full-size smoke.
 //
 // The cheap tier runs on every ctest invocation: structural invariants of
-// the partitioner on a mid-scale (~quarter-million-node) TinySoC, and serial-vs-CCSS bit-identity on the ~130k-node scaled1
-// preset — the multi-core SoC free-runs (never halts), so equivalence is
-// asserted as identical top-level outputs on every cycle of a fixed run
-// rather than via workload completion.
+// the partitioner on a mid-scale (~quarter-million-node) TinySoC,
+// serial-vs-CCSS bit-identity on the ~130k-node scaled1 preset, and the
+// partition-size cap's activity gate on the same preset. The multi-core SoC
+// free-runs (never halts), so equivalence is asserted as identical
+// top-level outputs on every cycle of a fixed run rather than via workload
+// completion.
 //
 // The full 1M-node elaboration smoke (node count, zero diagnostics, peak
 // RSS ceiling) costs ~10s and a GB of arena, so it is opt-in:
 //   ESSENT_SCALE_FULL=1 ctest -L scale
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -106,6 +109,30 @@ TEST(ScaleTest, SerialAndCcssBitIdenticalAtScale) {
   // The whole point of CCSS at scale: the idle accelerator mass must have
   // been skipped, not re-evaluated.
   EXPECT_LT(ccss.stats().opsEvaluated, serial.stats().opsEvaluated / 2);
+}
+
+// Machine-independent gate for the partition-size cap (C_max) on the
+// scaled1 preset. Without the cap, the MFFC behind the SoC's status XOR tree
+// holds ~22k ops and re-evaluates every cycle (effective activity ~19%).
+// Both assertions are counts, so the gate does not depend on the host.
+TEST(ScaleTest, PartitionCapKeepsActivityLowAtScale) {
+  diag::DiagEngine de;
+  std::shared_ptr<const sim::CompiledDesign> design = compileScaled(1, de);
+  ASSERT_NE(design, nullptr);
+  ASSERT_EQ(de.errorCount(), 0u);
+
+  core::ActivityEngine ccss(core::CompiledCcss::compile(design, core::ScheduleOptions{}));
+  size_t largest = 0;
+  for (const core::CondPart& part : ccss.schedule().parts)
+    largest = std::max(largest, part.ops.size());
+  EXPECT_LE(largest, core::PartitionOptions{}.maxPartitionSize);
+
+  ccss.poke("reset", 1);
+  ccss.tick();
+  ccss.tick();
+  ccss.poke("reset", 0);
+  for (int cycle = 0; cycle < 2000; cycle++) ccss.tick();
+  EXPECT_LT(ccss.effectiveActivity(), 0.02);
 }
 
 // Opt-in full-scale smoke: the 1M-node preset elaborates end to end with

@@ -404,7 +404,7 @@ int runStats(const Args& a, const sim::SimIR& ir) {
   std::printf("netlist graph\n");
   std::printf("  nodes           %d\n", nl.g.numNodes());
   std::printf("  edges           %lld\n", static_cast<long long>(nl.g.numEdges()));
-  std::printf("partitioning (C_p = %u)\n", a.cp);
+  std::printf("partitioning (C_p = %u, C_max = %u)\n", a.cp, po.maxPartitionSize);
   std::printf("  MFFC partitions %zu\n", p.stats.initialParts);
   std::printf("  phase A merges  %zu  -> %zu partitions\n", p.stats.mergesA,
               p.stats.afterSingleParent);
@@ -413,6 +413,8 @@ int runStats(const Args& a, const sim::SimIR& ir) {
   std::printf("  phase C merges  %zu  -> %zu partitions (%zu rejected by external-path "
               "test)\n",
               p.stats.mergesC, p.stats.finalParts, p.stats.rejectedMerges);
+  std::printf("  capped merges   %zu  (refused: result larger than C_max)\n",
+              p.stats.cappedMerges);
   std::printf("  cut edges       %lld\n", static_cast<long long>(p.stats.cutEdges));
   std::printf("  still small     %zu\n", p.stats.smallRemaining);
   std::printf("schedule\n");
@@ -509,7 +511,7 @@ int runSim(const Args& a, std::shared_ptr<const sim::CompiledDesign> design,
 // file. Prints the aggregate farm throughput plus one line per instance;
 // --stats-json gains a "farm" section (core::farmReportJson).
 int runBatch(const Args& a, std::shared_ptr<const sim::CompiledDesign> design,
-             diag::DiagEngine& de, const support::ResourceGuard& guard) {
+             const support::ResourceGuard& guard) {
   const sim::SimIR& ir = design->ir;
   // The cycle budget covers the whole batch (saturating multiply).
   uint64_t total = a.runCycles;
@@ -577,7 +579,6 @@ int runBatch(const Args& a, std::shared_ptr<const sim::CompiledDesign> design,
   core::SimFarm farm(std::move(design), fo);
   core::FarmReport report = farm.run(jobs);
   guard.checkDeadline();
-  for (const std::string& w : report.warnings) de.warning("W0601", w, {});
 
   std::printf("farm: %zu instances on %s engine, %u worker%s\n", report.instances.size(),
               sim::engineKindName(report.kind), report.workers,
@@ -874,7 +875,7 @@ int main(int argc, char** argv) {
           rc = runStats(a, ir);
           break;
         case Args::Mode::Run:
-          rc = a.batch > 0 ? runBatch(a, std::move(design), de, guard)
+          rc = a.batch > 0 ? runBatch(a, std::move(design), guard)
                            : runSim(a, std::move(design), de, guard);
           break;
         case Args::Mode::CompileRun:
