@@ -560,13 +560,38 @@ class Emitter {
     out_ += indent + "}\n";
   }
 
+  // Sets the activity flags of `parts`: unconditionally when `changed` is
+  // empty (the caller already tested for a change), else OR'd with that
+  // bool expression. A list longer than kMaxInlineWakes becomes a loop over
+  // a static index table, so an output feeding thousands of partitions
+  // costs its function a few statements instead of one per consumer (the
+  // interpreter's flat wake array, in generated form). Each call site is
+  // its own block, so the table name never collides.
+  static constexpr size_t kMaxInlineWakes = 64;
+  void emitWakes(const std::vector<int32_t>& parts, const std::string& changed,
+                 const std::string& indent) {
+    if (parts.size() <= kMaxInlineWakes) {
+      for (int32_t p : parts)
+        out_ += indent + (changed.empty() ? strfmt("s.act_[%d] = true;\n", p)
+                                          : strfmt("s.act_[%d] |= %s;\n", p, changed.c_str()));
+      return;
+    }
+    out_ += indent + "static const uint32_t kWake_[] = {";
+    for (size_t i = 0; i < parts.size(); i++)
+      out_ += (i % 16 == 0 ? "\n" + indent + "    " : std::string(" ")) +
+              std::to_string(parts[i]) + ",";
+    out_ += "\n" + indent + "};\n";
+    out_ += indent + (changed.empty() ? "" : "if (" + changed + ") ") +
+            "for (uint32_t p_ : kWake_) s.act_[p_] = true;\n";
+  }
+
   void emitRegWrite(int32_t regIdx, const std::vector<int32_t>* wakeParts,
                     const std::string& indent) {
     const auto& r = ir_.regs[static_cast<size_t>(regIdx)];
     if (wakeParts) {
       out_ += indent + strfmt("if (%s != %s) {\n", name(r.sig).c_str(), name(r.next).c_str());
       out_ += indent + strfmt("  %s = %s;\n", name(r.sig).c_str(), name(r.next).c_str());
-      for (int32_t p : *wakeParts) out_ += indent + strfmt("  s.act_[%d] = true;\n", p);
+      emitWakes(*wakeParts, "", indent + "  ");
       out_ += indent + "}\n";
     } else {
       out_ += indent + strfmt("%s = %s;\n", name(r.sig).c_str(), name(r.next).c_str());
@@ -586,7 +611,7 @@ class Emitter {
                               name(w.data).c_str());
       out_ += indent + strfmt("    %s[%s] = %s;\n", arr.c_str(), name(w.addr).c_str(),
                               name(w.data).c_str());
-      for (int32_t p : *wakeParts) out_ += indent + strfmt("    s.act_[%d] = true;\n", p);
+      emitWakes(*wakeParts, "", indent + "    ");
       out_ += indent + "  }\n";
     } else {
       out_ += indent + strfmt("  %s[%s] = %s;\n", arr.c_str(), name(w.addr).c_str(),
@@ -701,7 +726,7 @@ class Emitter {
       // Branchless OR-reduction trigger (Figure 1).
       out_ += ind + strfmt("{ const bool ch%zu_ = old%zu_ != %s;\n", oi, oi,
                            name(o.sig).c_str());
-      for (int32_t c : o.consumers) out_ += ind + strfmt("  s.act_[%d] |= ch%zu_;\n", c, oi);
+      emitWakes(o.consumers, strfmt("ch%zu_", oi), ind + "  ");
       out_ += ind + "}\n";
     }
     out_ += "}\n\n";
@@ -711,7 +736,7 @@ class Emitter {
     for (size_t i = 0; i < ir_.inputs.size(); i++) {
       const std::string& in = name(ir_.inputs[i]);
       out_ += ind + strfmt("if (s.first_cycle_ || %s != s.prev_[%zu]) {\n", in.c_str(), i);
-      for (int32_t p : sched_->inputConsumers[i]) out_ += ind + strfmt("  s.act_[%d] = true;\n", p);
+      emitWakes(sched_->inputConsumers[i], "", ind + "  ");
       out_ += ind + strfmt("  s.prev_[%zu] = %s;\n", i, in.c_str());
       out_ += ind + "}\n";
     }

@@ -1,5 +1,8 @@
 #include "core/activity_engine.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "obs/trace.h"
 #include "sim/op_eval.h"
 
@@ -11,21 +14,88 @@ using sim::RegInfo;
 
 namespace {
 
+uint32_t size32(size_t n) {
+  if (n > UINT32_MAX) throw std::length_error("CCSS execution stream exceeds 32-bit indexing");
+  return static_cast<uint32_t>(n);
+}
+
+CcssStream buildStream(const sim::CompiledDesign& design, const CondPartSchedule& sched) {
+  const sim::SimIR& ir = design.ir;
+  const sim::Layout& lay = design.layout;
+  CcssStream st;
+  auto wakeList = [&st](const std::vector<int32_t>& parts, uint32_t& begin, uint32_t& end) {
+    begin = size32(st.wake.size());
+    st.wake.insert(st.wake.end(), parts.begin(), parts.end());
+    end = size32(st.wake.size());
+  };
+  auto regWrite = [&](const SchedRegWrite& rw) {
+    const RegInfo& r = ir.regs[static_cast<size_t>(rw.regIdx)];
+    StreamRegWrite out{lay.offset[r.sig], lay.offset[r.next], lay.nwords[r.sig], 0, 0};
+    wakeList(rw.wakeParts, out.wakeBegin, out.wakeEnd);
+    return out;
+  };
+  auto memWrite = [&](const SchedMemWrite& mw) {
+    const MemInfo& mem = ir.mems[static_cast<size_t>(mw.memIdx)];
+    const sim::MemWriter& w = mem.writers[static_cast<size_t>(mw.writerIdx)];
+    StreamMemWrite out{static_cast<uint32_t>(mw.memIdx), lay.offset[w.en], lay.offset[w.mask],
+                       lay.offset[w.addr], lay.offset[w.data], 0, 0, mem.depth};
+    wakeList(mw.wakeParts, out.wakeBegin, out.wakeEnd);
+    return out;
+  };
+
+  size_t totalOps = 0;
+  for (const CondPart& part : sched.parts) totalOps += part.ops.size();
+  st.ops.reserve(totalOps);
+  st.parts.reserve(sched.parts.size() + 1);
+  auto mark = [&st]() {
+    st.parts.push_back(StreamPart{size32(st.ops.size()), size32(st.supers.size()),
+                                  size32(st.outputs.size()), size32(st.regWrites.size()),
+                                  size32(st.memWrites.size())});
+  };
+  for (const CondPart& part : sched.parts) {
+    mark();
+    int32_t prevSuper = -1;
+    for (int32_t opIdx : part.ops) {
+      // A supernode's members are contiguous in the partition's (sorted)
+      // op list, so each supernode becomes one contiguous stream run.
+      int32_t super = ir.superOf(static_cast<size_t>(opIdx));
+      if (super >= 0 && super != prevSuper)
+        st.supers.push_back(StreamSuper{size32(st.ops.size()), 0});
+      st.ops.push_back(design.exec[static_cast<size_t>(opIdx)]);
+      if (super >= 0) st.supers.back().end = size32(st.ops.size());
+      prevSuper = super;
+    }
+    uint32_t saveOff = 0;
+    for (const PartOutput& o : part.outputs) {
+      StreamOutput out{lay.offset[o.sig], saveOff, lay.nwords[o.sig], 0, 0};
+      wakeList(o.consumers, out.wakeBegin, out.wakeEnd);
+      st.outputs.push_back(out);
+      saveOff += out.nwords;
+    }
+    st.saveWords = std::max(st.saveWords, saveOff);
+    for (const SchedRegWrite& rw : part.regWrites) st.regWrites.push_back(regWrite(rw));
+    for (const SchedMemWrite& mw : part.memWrites) st.memWrites.push_back(memWrite(mw));
+  }
+  mark();  // sentinel: closes the last partition's ranges
+
+  for (size_t i = 0; i < ir.inputs.size(); i++) {
+    const auto in = static_cast<size_t>(ir.inputs[i]);
+    StreamOutput out{lay.offset[in], st.inputWords, lay.nwords[in], 0, 0};
+    wakeList(sched.inputConsumers[i], out.wakeBegin, out.wakeEnd);
+    st.inputs.push_back(out);
+    st.inputWords += out.nwords;
+  }
+  for (const SchedRegWrite& rw : sched.deferredRegs) st.deferredRegs.push_back(regWrite(rw));
+  for (const SchedMemWrite& mw : sched.deferredMemWrites)
+    st.deferredMemWrites.push_back(memWrite(mw));
+  return st;
+}
+
 std::shared_ptr<const CcssSchedule> buildCcssSchedule(const sim::CompiledDesign& design,
                                                       CondPartSchedule sched) {
   auto body = std::make_shared<CcssSchedule>();
   body->sched = std::move(sched);
-  // Lay out the flat old-value save area, one slot span per output.
-  uint32_t off = 0;
-  body->partOutBase.reserve(body->sched.parts.size());
-  for (const auto& part : body->sched.parts) {
-    body->partOutBase.push_back(body->outputSaveOff.size());
-    for (const auto& o : part.outputs) {
-      body->outputSaveOff.push_back(off);
-      off += design.layout.nwords[o.sig];
-    }
-  }
-  body->saveWords = off;
+  body->stream = buildStream(design, body->sched);
   return body;
 }
 
@@ -72,12 +142,11 @@ ActivityEngine::ActivityEngine(std::shared_ptr<const CompiledCcss> ccss)
     : Engine(ccss->design),
       ccss_(std::move(ccss)),
       sched_(ccss_->body->sched),
-      outputSaveOff_(ccss_->body->outputSaveOff),
-      partOutBase_(ccss_->body->partOutBase) {
+      stream_(ccss_->body->stream) {
   active_.assign((sched_.parts.size() + 63) / 64, 0);
   activateAll();
-  prevInputs_.assign(layout_.totalWords, 0);
-  outputSave_.assign(ccss_->body->saveWords, 0);
+  prevInputs_.assign(stream_.inputWords, 0);
+  outputSave_.assign(stream_.saveWords, 0);
   firstCycle_ = true;
 }
 
@@ -112,125 +181,114 @@ void ActivityEngine::setProfileWindow(uint32_t cycles) {
   clearProfile();
 }
 
-void ActivityEngine::wake(const std::vector<int32_t>& parts) {
-  for (int32_t p : parts) {
-    auto pos = static_cast<size_t>(p);
+void ActivityEngine::wake(uint32_t begin, uint32_t end) {
+  const int32_t* parts = stream_.wake.data();
+  for (uint32_t i = begin; i < end; i++) {
+    auto pos = static_cast<size_t>(parts[i]);
     active_[pos / 64] |= uint64_t{1} << (pos % 64);
   }
-  stats_.triggerSets += parts.size();
+  stats_.triggerSets += end - begin;
 }
 
-void ActivityEngine::applyRegWrite(const SchedRegWrite& rw) {
-  const RegInfo& r = ir_->regs[static_cast<size_t>(rw.regIdx)];
+void ActivityEngine::applyRegWrite(const StreamRegWrite& rw) {
+  uint64_t* vals = state_.vals.data();
+  uint64_t diff = 0;
+  for (uint32_t i = 0; i < rw.nwords; i++) diff |= vals[rw.sigOff + i] ^ vals[rw.nextOff + i];
   stats_.outputComparisons++;
-  if (sigValsEqual(r.sig, r.next)) return;
-  copySigWords(r.sig, r.next);
+  if (diff == 0) return;
+  for (uint32_t i = 0; i < rw.nwords; i++) vals[rw.sigOff + i] = vals[rw.nextOff + i];
   // All readers already ran this cycle (ordering edges), so these flags
   // take effect next cycle — the paper's immediate-wakeup insight.
-  wake(rw.wakeParts);
+  wake(rw.wakeBegin, rw.wakeEnd);
 }
 
-void ActivityEngine::applyMemWrite(const SchedMemWrite& mw) {
-  const MemInfo& mem = ir_->mems[static_cast<size_t>(mw.memIdx)];
-  const sim::MemWriter& w = mem.writers[static_cast<size_t>(mw.writerIdx)];
-  if (state_.vals[layout_.offset[w.en]] == 0) return;
-  if (state_.vals[layout_.offset[w.mask]] == 0) return;
-  uint64_t addr = state_.vals[layout_.offset[w.addr]];
-  if (addr >= mem.depth) return;
-  uint32_t rw = state_.memRowWords[static_cast<size_t>(mw.memIdx)];
-  uint32_t off = layout_.offset[w.data];
-  auto& words = state_.memWords[static_cast<size_t>(mw.memIdx)];
+void ActivityEngine::applyMemWrite(const StreamMemWrite& mw) {
+  const uint64_t* vals = state_.vals.data();
+  if (vals[mw.enOff] == 0) return;
+  if (vals[mw.maskOff] == 0) return;
+  uint64_t addr = vals[mw.addrOff];
+  if (addr >= mw.depth) return;
+  uint32_t rw = state_.memRowWords[mw.mem];
+  uint64_t* row = state_.memWords[mw.mem].data() + addr * rw;
   bool changed = false;
   stats_.outputComparisons++;
   for (uint32_t i = 0; i < rw; i++) {
-    if (words[addr * rw + i] != state_.vals[off + i]) {
-      words[addr * rw + i] = state_.vals[off + i];
+    if (row[i] != vals[mw.dataOff + i]) {
+      row[i] = vals[mw.dataOff + i];
       changed = true;
     }
   }
-  if (changed) wake(mw.wakeParts);
+  if (changed) wake(mw.wakeBegin, mw.wakeEnd);
 }
 
 // 64-byte aligned, like tick(): see evalFastScalar in sim/op_eval.h.
-[[gnu::aligned(64)]] void ActivityEngine::runPartition(size_t pos, const CondPart& part) {
+[[gnu::aligned(64)]] void ActivityEngine::runPartition(size_t pos) {
   obs::TraceSpan span("part", obs::TraceCat::None, obs::TraceDetail::Partition,
                       "part", pos);
   stats_.partitionActivations++;
   const uint64_t wakesBefore = stats_.triggerSets;
+  const StreamPart& part = stream_.parts[pos];
+  const StreamPart& next = stream_.parts[pos + 1];
+  const StreamOutput* outs = stream_.outputs.data();
+  uint64_t* save = outputSave_.data();
 
   // Save old output values.
-  size_t outBase = partOutBase_[pos];
-  for (size_t oi = 0; oi < part.outputs.size(); oi++) {
-    const PartOutput& o = part.outputs[oi];
-    uint32_t so = outputSaveOff_[outBase + oi];
-    uint32_t vo = layout_.offset[o.sig];
-    for (uint32_t i = 0; i < layout_.nwords[o.sig]; i++)
-      outputSave_[so + i] = state_.vals[vo + i];
+  {
+    const uint64_t* vals = state_.vals.data();
+    for (uint32_t oi = part.out; oi < next.out; oi++) {
+      const StreamOutput& o = outs[oi];
+      for (uint32_t i = 0; i < o.nwords; i++) save[o.saveOff + i] = vals[o.valOff + i];
+    }
   }
 
   // Full-cycle style straight-line evaluation of the partition's ops;
-  // combinational-loop supernodes (always wholly contained in one
-  // partition) iterate to convergence.
-  if (!ir_->hasCombLoops()) {
-    for (int32_t opIdx : part.ops)
-      sim::evalExecOp(*ir_, layout_, state_, exec_[static_cast<size_t>(opIdx)]);
-  } else {
-    for (size_t k = 0; k < part.ops.size();) {
-      int32_t opIdx = part.ops[k];
-      int32_t super = ir_->superOf(static_cast<size_t>(opIdx));
-      if (super < 0) {
-        sim::evalExecOp(*ir_, layout_, state_, exec_[static_cast<size_t>(opIdx)]);
-        k++;
-        continue;
-      }
-      size_t j = k;
-      while (j < part.ops.size() &&
-             ir_->superOf(static_cast<size_t>(part.ops[j])) == super)
-        j++;
-      sim::evalSuperRange(*ir_, layout_, state_, exec_.data() + opIdx, j - k);
-      k = j;
-    }
+  // combinational-loop supernode runs iterate to convergence.
+  const ExecOp* ops = stream_.ops.data();
+  uint32_t k = part.op;
+  for (uint32_t si = part.super; si < next.super; si++) {
+    const StreamSuper& sn = stream_.supers[si];
+    for (; k < sn.begin; k++) sim::evalExecOp(*ir_, layout_, state_, ops[k]);
+    sim::evalSuperRange(*ir_, layout_, state_, ops + sn.begin, sn.end - sn.begin);
+    k = sn.end;
   }
-  stats_.opsEvaluated += part.ops.size();
+  for (; k < next.op; k++) sim::evalExecOp(*ir_, layout_, state_, ops[k]);
+  stats_.opsEvaluated += next.op - part.op;
 
   // Elided state updates (end of partition: every internal reader op has
   // already evaluated with the old value).
-  for (const auto& rw : part.regWrites) applyRegWrite(rw);
-  for (const auto& mw : part.memWrites) applyMemWrite(mw);
+  for (uint32_t r = part.reg; r < next.reg; r++) applyRegWrite(stream_.regWrites[r]);
+  for (uint32_t m = part.mem; m < next.mem; m++) applyMemWrite(stream_.memWrites[m]);
 
   // Push-direction triggering: wake consumers of changed outputs. The
   // change test is a branchless OR-reduction over the output's words.
-  for (size_t oi = 0; oi < part.outputs.size(); oi++) {
-    const PartOutput& o = part.outputs[oi];
-    uint32_t so = outputSaveOff_[outBase + oi];
-    uint32_t vo = layout_.offset[o.sig];
+  const uint64_t* vals = state_.vals.data();
+  for (uint32_t oi = part.out; oi < next.out; oi++) {
+    const StreamOutput& o = outs[oi];
     uint64_t diff = 0;
-    for (uint32_t i = 0; i < layout_.nwords[o.sig]; i++)
-      diff |= outputSave_[so + i] ^ state_.vals[vo + i];
-    stats_.outputComparisons++;
-    if (diff != 0) wake(o.consumers);
+    for (uint32_t i = 0; i < o.nwords; i++) diff |= save[o.saveOff + i] ^ vals[o.valOff + i];
+    if (diff != 0) wake(o.wakeBegin, o.wakeEnd);
   }
+  stats_.outputComparisons += next.out - part.out;
 
   if (profiling_) {
     PartitionProfile& pp = prof_.parts[pos];
     pp.activations++;
-    pp.opsEvaluated += part.ops.size();
+    pp.opsEvaluated += next.op - part.op;
     pp.wakesIssued += stats_.triggerSets - wakesBefore;
   }
 }
 
 void ActivityEngine::sweepInputs() {
-  // 1. External input change detection.
-  if (!firstCycle_) {
-    for (size_t i = 0; i < ir_->inputs.size(); i++) {
-      int32_t in = ir_->inputs[i];
-      if (!sigWordsEqual(in, prevInputs_.data() + layout_.offset[in]))
-        wake(sched_.inputConsumers[i]);
+  // 1. External input change detection, then latch the new values.
+  uint64_t* vals = state_.vals.data();
+  uint64_t* prev = prevInputs_.data();
+  for (const StreamOutput& in : stream_.inputs) {
+    uint64_t diff = 0;
+    for (uint32_t i = 0; i < in.nwords; i++) {
+      diff |= prev[in.saveOff + i] ^ vals[in.valOff + i];
+      prev[in.saveOff + i] = vals[in.valOff + i];
     }
-  }
-  for (int32_t in : ir_->inputs) {
-    uint32_t off = layout_.offset[in];
-    for (uint32_t i = 0; i < layout_.nwords[in]; i++) prevInputs_[off + i] = state_.vals[off + i];
+    if (diff != 0 && !firstCycle_) wake(in.wakeBegin, in.wakeEnd);
   }
   firstCycle_ = false;
 }
@@ -248,8 +306,8 @@ void ActivityEngine::finishCycle() {
   firePrintsAndStops();
 
   // 4. Phase 2: non-elided state elements.
-  for (const auto& rw : sched_.deferredRegs) applyRegWrite(rw);
-  for (const auto& mw : sched_.deferredMemWrites) applyMemWrite(mw);
+  for (const StreamRegWrite& rw : stream_.deferredRegs) applyRegWrite(rw);
+  for (const StreamMemWrite& mw : stream_.deferredMemWrites) applyMemWrite(mw);
 
   stats_.cycles++;
 }
@@ -274,7 +332,7 @@ void ActivityEngine::finishCycle() {
       pending &= pending - 1;
       active_[w] &= ~(uint64_t{1} << bit);  // deactivate for the next cycle first (Figure 1)
       size_t pos = w * 64 + bit;
-      runPartition(pos, sched_.parts[pos]);
+      runPartition(pos);
       // Pick up later partitions of this word that this one newly woke;
       // bits at or below `bit` wait for the next cycle (2 << 63 wraps to 0,
       // which masks off the whole word). The rare-branch form keeps the

@@ -1,6 +1,7 @@
 // The ESSENT-style CCSS activity engine (paper §III, Figure 1).
 //
-// Executes a CondPartSchedule: per cycle it
+// Executes a CondPartSchedule, through its execution stream (below): per
+// cycle it
 //   1. compares external inputs against their previous values and wakes the
 //      consumer partitions of any that changed;
 //   2. sweeps the partitions in the singular static schedule order; an
@@ -23,6 +24,16 @@
 // After each partition it masks off every bit at or below the current
 // position: a wake of an earlier or the same partition (elided register
 // writes, self-wakes) stays set and runs next cycle, as in Figure 1.
+//
+// The engine reads nothing but the CcssStream below on the tick path: the
+// schedule re-laid out partition-major, with each partition's ops (copied
+// ExecOps in schedule order), output compare records, elided commits and
+// wake lists in contiguous flat arrays. ESSENT emits each partition as one
+// straight-line function, so its ops, compares and trigger stores sit
+// together in memory; walking the CondPartSchedule instead cost an
+// indirection per op (into ExecOps in IR order), two Layout lookups per
+// output and a separate heap vector per wake list, and at boom scale those
+// cache misses were most of an op's cost.
 //
 // Overhead counters map onto Figure 7's decomposition: partitionChecks is
 // the static overhead, outputComparisons/triggerSets the dynamic overhead,
@@ -56,18 +67,67 @@ struct ActivityProfile {
   std::vector<uint64_t> activationsPerWindow;
 };
 
+// Records of the execution stream (CcssStream, below). Every index is a
+// position in one of its arrays; a wake list is wake[wakeBegin, wakeEnd).
+
+// A compare-and-wake record: `nwords` arena words at valOff, their saved
+// copy at saveOff, and the partitions to wake when the two differ. Used for
+// partition outputs (saveOff into the engine's per-partition save scratch)
+// and for external inputs (saveOff into the previous-input buffer).
+struct StreamOutput {
+  uint32_t valOff, saveOff, nwords, wakeBegin, wakeEnd;
+};
+
+// A register commit: `nwords` words from nextOff to sigOff, waking the
+// register's readers on a change.
+struct StreamRegWrite {
+  uint32_t sigOff, nextOff, nwords, wakeBegin, wakeEnd;
+};
+
+// A memory write-port commit, with its port signals resolved to offsets.
+struct StreamMemWrite {
+  uint32_t mem, enOff, maskOff, addrOff, dataOff, wakeBegin, wakeEnd;
+  uint64_t depth;
+};
+
+// A combinational-loop supernode run: stream ops [begin, end) iterate to
+// convergence. A supernode always lies wholly inside one partition.
+struct StreamSuper {
+  uint32_t begin, end;
+};
+
+// First record of each kind owned by a partition. parts has one sentinel
+// entry past the last partition, so partition pos owns [parts[pos].x,
+// parts[pos + 1].x) of each array.
+struct StreamPart {
+  uint32_t op, super, out, reg, mem;
+};
+
+struct CcssStream {
+  std::vector<sim::ExecOp> ops;           // schedule order, partition-major
+  std::vector<StreamSuper> supers;
+  std::vector<StreamOutput> outputs;
+  std::vector<StreamRegWrite> regWrites;  // elided: applied at partition end
+  std::vector<StreamMemWrite> memWrites;  // elided
+  std::vector<StreamPart> parts;          // numPartitions() + 1
+  std::vector<int32_t> wake;              // every wake list, concatenated
+  std::vector<StreamOutput> inputs;       // parallel to ir.inputs
+  std::vector<StreamRegWrite> deferredRegs;  // phase 2
+  std::vector<StreamMemWrite> deferredMemWrites;
+  uint32_t saveWords = 0;   // output words of the widest partition
+  uint32_t inputWords = 0;  // words of all external inputs
+};
+
 // The design-independent half of the compiled CCSS structure: the
-// CondPartSchedule plus the static layout of the flat old-value save area
-// for partition outputs (the save buffer itself is per-instance mutable
-// state). This is what CompiledCcss::get caches inside the design's
-// extension cache, and it deliberately holds no pointer back to the
-// design: a back-pointer from a cache entry would close a shared_ptr
+// CondPartSchedule (the build-time and inspection form that codegen, the
+// lane engine, the exporters and the tests read) plus the execution stream
+// ActivityEngine runs. This is what CompiledCcss::get caches inside the
+// design's extension cache, and it deliberately holds no pointer back to
+// the design: a back-pointer from a cache entry would close a shared_ptr
 // cycle (design -> ext_ -> schedule -> design) and leak both.
 struct CcssSchedule {
   CondPartSchedule sched;
-  std::vector<uint32_t> outputSaveOff;  // parallel to flattened outputs
-  std::vector<size_t> partOutBase;      // partition -> first flattened output
-  size_t saveWords = 0;                 // words in the per-instance save buffer
+  CcssStream stream;
 };
 
 // Immutable CCSS structure shared by every activity-engine instance over
@@ -128,14 +188,14 @@ class ActivityEngine : public sim::Engine {
  private:
   // Immutable structure (shared across instances) ...
   std::shared_ptr<const CompiledCcss> ccss_;
-  const CondPartSchedule& sched_;              // = ccss_->body->sched
-  const std::vector<uint32_t>& outputSaveOff_; // = ccss_->body->outputSaveOff
-  const std::vector<size_t>& partOutBase_;     // = ccss_->body->partOutBase
+  const CondPartSchedule& sched_;  // = ccss_->body->sched
+  const CcssStream& stream_;       // = ccss_->body->stream
   // ... and this instance's mutable state. Bit (pos % 64) of word
   // (pos / 64) is partition pos's activity flag; tail bits stay zero.
   std::vector<uint64_t> active_;
-  std::vector<uint64_t> prevInputs_;
-  // Flat old-value buffer for all partition outputs.
+  std::vector<uint64_t> prevInputs_;  // stream_.inputWords
+  // Old output values of the running partition (stream_.saveWords): saved
+  // on entry and compared on exit, so one partition's worth suffices.
   std::vector<uint64_t> outputSave_;
   bool firstCycle_ = true;
   bool profiling_ = false;
@@ -143,10 +203,10 @@ class ActivityEngine : public sim::Engine {
 
   void clearProfile();
   void activateAll();
-  void runPartition(size_t pos, const CondPart& part);
-  void applyRegWrite(const SchedRegWrite& rw);
-  void applyMemWrite(const SchedMemWrite& mw);
-  void wake(const std::vector<int32_t>& parts);
+  void runPartition(size_t pos);
+  void applyRegWrite(const StreamRegWrite& rw);
+  void applyMemWrite(const StreamMemWrite& mw);
+  void wake(uint32_t begin, uint32_t end);
   // Tick phase 1: wake consumers of changed external inputs and latch the
   // new input values.
   void sweepInputs();

@@ -94,10 +94,6 @@ struct FarmReport {
   uint64_t totalCycles = 0;   // sum over instances
   double instancesPerSec = 0.0;
   double aggregateCyclesPerSec = 0.0;  // totalCycles / wallSeconds
-  // Deprecated: always empty, because engine construction no longer
-  // degrades (see EngineOptions::warnings). Kept for one release; removed
-  // in the next.
-  std::vector<std::string> warnings;
   // Distribution of per-instance wall times (ns) across the batch —
   // p50/p99 here are the daemon-facing latency numbers (Open item 3).
   obs::HistogramSnapshot instanceLatency;
@@ -119,8 +115,7 @@ struct FarmOptions {
   // core::LaneEngine; remainder jobs and errored lanes fall back to scalar
   // CCSS engines. Results stay bit-identical to solo runs either way.
   sim::EngineKind kind = sim::EngineKind::Ccss;
-  // Per-instance engine options (schedule knobs, profiling). The deprecated
-  // warnings pointer is ignored.
+  // Per-instance engine options (schedule knobs, profiling).
   sim::EngineOptions engine;
   // Farm worker lanes (including the calling thread); 0 = the
   // support::ThreadPool::defaultThreadCount() heuristic ($ESSENT_THREADS,

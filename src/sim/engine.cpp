@@ -11,6 +11,7 @@ namespace essent::sim {
 std::shared_ptr<const CompiledDesign> CompiledDesign::compile(SimIR ir) {
   auto d = std::make_shared<CompiledDesign>();
   d->ir = std::move(ir);
+  isolateRegisterAliases(d->ir);
   d->layout = Layout::build(d->ir);
   d->exec = compileExec(d->ir, d->layout);
   return d;

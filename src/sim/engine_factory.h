@@ -81,10 +81,6 @@ struct EngineOptions {
   bool profiling = false;
   // Activity-timeline bucket width in cycles when profiling is on.
   uint32_t profileWindow = 256;
-  // Deprecated: nothing writes here any more (no engine kind degrades to
-  // another since the parallel CCSS engine was removed). Kept for one
-  // release; removed in the next.
-  std::vector<std::string>* warnings = nullptr;
 };
 
 // Constructs an engine of `kind` sharing `design`'s compiled structure;

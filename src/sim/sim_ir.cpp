@@ -169,6 +169,38 @@ void SimIR::validate() const {
   }
 }
 
+size_t isolateRegisterAliases(SimIR& ir) {
+  std::vector<int32_t> copyOf(ir.signals.size(), -1);  // source register -> its copy
+  size_t added = 0;
+  for (RegInfo& r : ir.regs) {
+    const int32_t src = r.next;
+    if (src < 0 || src == r.sig ||
+        ir.signals[static_cast<size_t>(src)].kind != SigKind::Register)
+      continue;
+    int32_t& copy = copyOf[static_cast<size_t>(src)];
+    if (copy < 0) {
+      // Appending keeps the op list topological: the source is a register.
+      copy = static_cast<int32_t>(ir.signals.size());
+      Signal sig;
+      sig.width = ir.signals[static_cast<size_t>(src)].width;
+      sig.isSigned = ir.signals[static_cast<size_t>(src)].isSigned;
+      sig.kind = SigKind::Temp;
+      sig.defOp = static_cast<int32_t>(ir.ops.size());
+      ir.signals.push_back(sig);
+      Op op;
+      op.code = OpCode::Copy;
+      op.dest = copy;
+      op.args[0] = src;
+      op.signedOp = sig.isSigned;
+      ir.ops.push_back(op);
+      if (!ir.opSuper.empty()) ir.opSuper.push_back(-1);
+      added++;
+    }
+    r.next = copy;
+  }
+  return added;
+}
+
 Layout Layout::build(const SimIR& ir) {
   Layout lay;
   lay.offset.resize(ir.signals.size());
@@ -195,7 +227,9 @@ std::vector<ExecOp> compileExec(const SimIR& ir, const Layout& lay) {
     e.destOff = lay.offset[op.dest];
     e.destW = ir.signals[op.dest].width;
     e.imm0 = op.imm0;
-    e.imm1 = op.imm1;
+    if (op.imm1 < INT32_MIN || op.imm1 > INT32_MAX)
+      throw std::logic_error("compileExec: imm1 does not fit the 32-bit ExecOp field");
+    e.imm1 = static_cast<int32_t>(op.imm1);
     e.aOff = e.bOff = e.cOff = UINT32_MAX;
     e.aW = e.bW = e.cW = 0;
     e.args[0] = e.args[1] = e.args[2] = -1;

@@ -167,6 +167,17 @@ struct SimIR {
   size_t namedCount_ = 0;
 };
 
+// Gives every register whose next value is another register's current
+// value (FIRRTL `r3 <= r0` with no reset) a combinational Copy of that value
+// as its next, one Copy per aliased source register. Engines commit
+// registers one at a time, so without the copy r3 would read r0 after r0's
+// own commit — its new value — whenever r0 commits first. With it, every
+// register's next is computed before any commit, and commit order no longer
+// matters. Returns the number of copies added; an IR without such aliases
+// is left untouched. CompiledDesign::compile applies it, so every engine
+// and the code generator see the same fixed IR.
+size_t isolateRegisterAliases(SimIR& ir);
+
 // ---------------------------------------------------------------------------
 // Execution layout: arena offsets + precompiled op stream.
 
@@ -181,7 +192,9 @@ struct Layout {
 };
 
 // Per-op execution record with resolved widths/offsets; `fast` marks ops
-// whose operands and result all fit in a single 64-bit word.
+// whose operands and result all fit in a single 64-bit word. One record is
+// one 64-byte cache line: imm1 (only Bits' low bit index, which is below
+// the operand width) sits in what would otherwise be padding.
 struct ExecOp {
   OpCode code;
   bool signedOp;
@@ -192,8 +205,10 @@ struct ExecOp {
   uint32_t aOff, aW;
   uint32_t bOff, bW;
   uint32_t cOff, cW;
-  int64_t imm0, imm1;
+  int32_t imm1;
+  int64_t imm0;
 };
+static_assert(sizeof(ExecOp) == 64, "ExecOp is sized to one cache line");
 
 std::vector<ExecOp> compileExec(const SimIR& ir, const Layout& layout);
 

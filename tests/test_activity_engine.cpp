@@ -11,9 +11,12 @@
 #include "designs/blocks.h"
 #include "designs/gcd.h"
 #include "designs/systolic.h"
+#include "designs/tinysoc.h"
 #include "sim/compile.h"
 #include "sim/full_cycle.h"
 #include "sim/harness.h"
+#include "workloads/driver.h"
+#include "workloads/programs.h"
 
 namespace essent::core {
 namespace {
@@ -499,6 +502,26 @@ TEST(ActivityEngineScan, MatchesFullCycleOnManyPartitions) {
   EXPECT_FALSE(mismatch.has_value()) << mismatch->describe();
   EXPECT_EQ(act.stats().partitionChecks, cycles * act.schedule().numPartitions());
   EXPECT_LT(act.stats().partitionActivations, act.stats().partitionChecks);
+}
+
+// The engine executes a flat, partition-major stream built from the
+// CondPartSchedule. The stream is a pure re-layout, so the Figure 7
+// counters must equal those of the schedule-walking engine it replaced.
+// The figures were recorded from that engine: boom preset, dhrystone, two
+// reset cycles plus 2000 run cycles.
+TEST(ActivityEngineStream, BoomCountersMatchScheduleWalk) {
+  auto design = sim::compileDesign(designs::tinySoCFirrtl(designs::socBoom()));
+  ActivityEngine eng(CompiledCcss::get(design, ScheduleOptions{}));
+  workloads::loadProgram(eng, workloads::dhrystoneProgram(256));
+  workloads::WorkloadResult res = workloads::runWorkload(eng, 2000);
+  ASSERT_EQ(res.cycles, 2000u);
+  const sim::EngineStats& st = eng.stats();
+  EXPECT_EQ(st.cycles, 2002u);
+  EXPECT_EQ(st.opsEvaluated, 1833574u);
+  EXPECT_EQ(st.partitionActivations, 93878u);
+  EXPECT_EQ(st.partitionChecks, 25002978u);
+  EXPECT_EQ(st.outputComparisons, 871892u);
+  EXPECT_EQ(st.triggerSets, 242197u);
 }
 
 }  // namespace

@@ -8,6 +8,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "codegen/emitter.h"
+#include "core/activity_engine.h"
+#include "core/netlist.h"
+#include "core/schedule.h"
 #include "firrtl/printer.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/generator.h"
@@ -15,7 +19,9 @@
 #include "fuzz/shrinker.h"
 #include "fuzz/stimulus.h"
 #include "sim/compile.h"
+#include "sim/engine_factory.h"
 #include "sim/full_cycle.h"
+#include "support/strutil.h"
 
 namespace essent::fuzz {
 namespace {
@@ -390,6 +396,161 @@ TEST(Corpus, CornerCircuitsAgreeAcrossAllEngines) {
     EXPECT_FALSE(cr.failed())
         << (cr.divergence ? cr.divergence->describe() : cr.buildError);
   }
+}
+
+// Registers whose next value is another register's current value, with no
+// reset mux in between: a four-deep shift chain r0 -> r3 and a swap pair in
+// which b <= a directly (a has a reset). Every engine must commit the old
+// values, whatever order the registers are declared or committed in.
+const char* kAliasChain = R"(
+circuit Alias :
+  module Alias :
+    input clock : Clock
+    input reset : UInt<1>
+    input in : UInt<8>
+    output out : UInt<8>
+    output sw : UInt<8>
+    reg r0 : UInt<8>, clock
+    reg r1 : UInt<8>, clock
+    reg r2 : UInt<8>, clock
+    reg r3 : UInt<8>, clock
+    reg a : UInt<8>, clock with : (reset => (reset, UInt<8>(1)))
+    reg b : UInt<8>, clock
+    r0 <= in
+    r1 <= r0
+    r2 <= r1
+    r3 <= r2
+    a <= b
+    b <= a
+    out <= r3
+    sw <= b
+)";
+
+// Cycle c drives reset = (c == 0) and in = c + 1.
+Stimulus aliasChainStimulus(size_t cycles) {
+  Stimulus st;
+  st.inputs = {"reset", "in"};
+  st.widths = {1, 8};
+  for (size_t c = 0; c < cycles; c++)
+    st.cycles.push_back({BitVec::fromU64(1, c == 0), BitVec::fromU64(8, c + 1)});
+  return st;
+}
+
+TEST(RegisterAliases, ChainCommitsOldValuesOnEveryEngine) {
+  auto design = sim::compileDesign(kAliasChain);
+  const size_t cycles = 12;
+  Stimulus stim = aliasChainStimulus(cycles);
+  core::PartitionOptions tiny;
+  tiny.maxPartitionSize = 4;
+  sim::EngineOptions lanes;
+  lanes.lanes = 8;
+  std::vector<std::unique_ptr<sim::Engine>> engines;
+  engines.push_back(sim::makeEngine(EngineKind::FullCycle, design));
+  engines.push_back(sim::makeEngine(EngineKind::EventDriven, design));
+  engines.push_back(sim::makeEngine(EngineKind::Ccss, design));
+  engines.push_back(sim::makeEngine(EngineKind::Lane, design, lanes));
+  engines.push_back(std::make_unique<core::ActivityEngine>(
+      core::CompiledCcss::get(design, core::ScheduleOptions{tiny, true})));
+  for (auto& eng : engines) {
+    SCOPED_TRACE(eng->name());
+    for (size_t c = 0; c < cycles; c++) {
+      stim.apply(*eng, c);
+      eng->tick();
+      // After cycle c, r_k holds the input of cycle c - k; out shows r3's
+      // value before the update. a and b swap every cycle after reset.
+      auto inAt = [c](size_t k) -> uint64_t { return c >= k ? c - k + 1 : 0; };
+      EXPECT_EQ(eng->peek("r1"), inAt(1)) << "cycle " << c;
+      EXPECT_EQ(eng->peek("r3"), inAt(3)) << "cycle " << c;
+      EXPECT_EQ(eng->peek("out"), inAt(4)) << "cycle " << c;
+      EXPECT_EQ(eng->peek("a"), c % 2 == 0 ? 1u : 0u) << "cycle " << c;
+      EXPECT_EQ(eng->peek("b"), c % 2 == 0 ? 0u : 1u) << "cycle " << c;
+    }
+  }
+  // The compiled simulator, both at the default cap and at C_max = 4,
+  // against the (hand-checked) full-cycle reference.
+  for (uint32_t cmax : {core::PartitionOptions{}.maxPartitionSize, 4u}) {
+    OracleOptions oo;
+    oo.partition.maxPartitionSize = cmax;
+    OracleResult r = runOracle(kAliasChain, stim, oo);
+    EXPECT_TRUE(r.ok()) << "C_max " << cmax << ": "
+                        << (r.divergence ? r.divergence->describe() : r.buildError);
+    EXPECT_FALSE(r.codegenSkipped) << r.codegenSkipReason;
+  }
+}
+
+TEST(RegisterAliases, SealingCopiesOnlyAliasedRegisters) {
+  // One copy per aliased source register (r0, r1, r2, a); b's next is a.
+  sim::SimIR raw = sim::buildFromFirrtl(kAliasChain);
+  auto design = sim::CompiledDesign::compile(raw);
+  EXPECT_EQ(design->ir.ops.size(), raw.ops.size() + 4);
+  for (const sim::RegInfo& r : design->ir.regs)
+    EXPECT_NE(design->ir.signals[static_cast<size_t>(r.next)].kind, sim::SigKind::Register);
+  design->ir.validate();
+  // A design whose registers all have reset muxes is left untouched.
+  sim::SimIR counter = sim::buildFromFirrtl(R"(
+circuit C :
+  module C :
+    input clock : Clock
+    input reset : UInt<1>
+    output q : UInt<8>
+    reg r : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))
+    reg s : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))
+    r <= tail(add(r, UInt<8>(1)), 1)
+    s <= r
+    q <= s
+)");
+  sim::SimIR sealed = counter;
+  EXPECT_EQ(sim::isolateRegisterAliases(sealed), 0u);
+  EXPECT_EQ(sealed.ops.size(), counter.ops.size());
+}
+
+// The fuzz case that exposed the commit-order bug: r3 <= r0 with no reset,
+// split across partitions by C_max = 4 (full-cycle and CCSS disagreed at
+// cycle 10 before registers were isolated at seal time).
+TEST(RegisterAliases, PinnedFuzzCaseAgreesUnderTinyPartitionCap) {
+  FuzzConfig gen;  // derive the case's circuit and stimulus only
+  gen.engines = {EngineKind::FullCycle};
+  gen.cycles = 60;
+  CaseResult cr = runFuzzCase(17335489403772164939ull, gen, nullptr);
+  ASSERT_TRUE(cr.buildError.empty()) << cr.buildError;
+  OracleOptions oo;  // all five engines
+  oo.partition.maxPartitionSize = 4;
+  OracleResult r = runOracle(cr.fir, cr.stim, oo);
+  EXPECT_TRUE(r.ok()) << (r.divergence ? r.divergence->describe() : r.buildError);
+}
+
+// Wide fan-out in the compiled simulator: one combinational signal, one
+// register and one input each feed 100 ops, and C_max = 1 puts every op in
+// its own partition, so all three kinds of consumer list exceed the inline
+// limit and are emitted as loops over static index tables.
+TEST(Oracle, CodegenWakeTablesMatchInterpreter) {
+  std::string fir =
+      "circuit Fan :\n  module Fan :\n    input clock : Clock\n    input reset : UInt<1>\n"
+      "    input x : UInt<8>\n    input y : UInt<8>\n";
+  std::string body =
+      "    reg r : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))\n"
+      "    r <= tail(add(r, y), 1)\n    node t = xor(x, y)\n";
+  for (int i = 0; i < 100; i++) {
+    fir += strfmt("    output o%d : UInt<8>\n", i);
+    body += strfmt("    o%d <= xor(xor(t, UInt<8>(%d)), and(r, or(x, UInt<8>(%d))))\n", i, i, i);
+  }
+  fir += body;
+  sim::SimIR ir = sim::buildFromFirrtl(fir);
+  core::ScheduleOptions tiny;
+  tiny.partition.maxPartitionSize = 1;
+  core::CondPartSchedule sched = core::buildSchedule(core::Netlist::build(ir), tiny);
+  std::string code = codegen::emitCpp(ir, &sched, codegen::CodegenOptions{});
+  size_t tables = 0;
+  for (size_t at = code.find("kWake_[] ="); at != std::string::npos;
+       at = code.find("kWake_[] =", at + 1))
+    tables++;
+  EXPECT_GE(tables, 3u);
+  OracleOptions oo;
+  oo.partition = tiny.partition;
+  Stimulus stim = randomStimulus(ir, 5, 40, 0.3);
+  OracleResult r = runOracle(fir, stim, oo);
+  EXPECT_TRUE(r.ok()) << (r.divergence ? r.divergence->describe() : r.buildError);
+  EXPECT_FALSE(r.codegenSkipped) << r.codegenSkipReason;
 }
 
 }  // namespace

@@ -208,5 +208,70 @@ circuit D :
   EXPECT_EQ(eng.peek("q"), 1u);
 }
 
+// The CCSS engine runs supernodes out of its flat execution stream: each
+// loop is one contiguous run of the partition's ops, iterated in place. At
+// C_max = 4 the two chained latches sit among straight-line ops and
+// registers, so partitions mix plain runs and loop runs.
+TEST(SuperNodes, StreamLoopRunsMatchFullCycleUnderTinyCap) {
+  SimIR ir = sim::buildFromFirrtl(R"(
+circuit Loops :
+  module Loops :
+    input clock : Clock
+    input reset : UInt<1>
+    input s : UInt<1>
+    input r : UInt<1>
+    input x : UInt<8>
+    output q : UInt<1>
+    output y : UInt<8>
+    wire qi : UInt<1>
+    wire qbi : UInt<1>
+    wire pi : UInt<1>
+    wire pbi : UInt<1>
+    node s2 = and(s, bits(x, 0, 0))
+    qi <= not(or(r, qbi))
+    qbi <= not(or(s2, qi))
+    pi <= not(or(qi, pbi))
+    pbi <= not(or(xorr(x), pi))
+    reg acc : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))
+    acc <= tail(add(acc, mux(pi, x, UInt<8>(3))), 1)
+    q <= qi
+    y <= xor(acc, pad(pbi, 8))
+)",
+                                  withLoops());
+  ASSERT_EQ(ir.supers.size(), 2u);
+  ScheduleOptions tiny;
+  tiny.partition.maxPartitionSize = 4;
+  auto ccss = core::CompiledCcss::compile(sim::CompiledDesign::compile(ir), tiny);
+  const core::CcssStream& stream = ccss->body->stream;
+  ASSERT_EQ(stream.supers.size(), 2u);
+  size_t loopOps = 0;
+  for (const core::StreamSuper& sn : stream.supers) {
+    EXPECT_LT(sn.begin, sn.end);
+    loopOps += sn.end - sn.begin;
+  }
+  EXPECT_EQ(loopOps, ir.supers[0].size() + ir.supers[1].size());
+  // At least one partition runs straight-line ops around a loop run.
+  bool mixed = false;
+  for (size_t pos = 0; pos + 1 < stream.parts.size(); pos++) {
+    const core::StreamPart& part = stream.parts[pos];
+    const core::StreamPart& next = stream.parts[pos + 1];
+    uint32_t inLoops = 0;
+    for (uint32_t si = part.super; si < next.super; si++)
+      inLoops += stream.supers[si].end - stream.supers[si].begin;
+    mixed |= inLoops > 0 && next.op - part.op > inLoops;
+  }
+  EXPECT_TRUE(mixed);
+
+  FullCycleEngine fc(sim::CompiledDesign::compile(ir));
+  ActivityEngine act(ccss);
+  auto m = sim::compareEngines(fc, act, 200, [](sim::Engine& e, uint64_t c) {
+    e.poke("reset", c < 2);
+    e.poke("s", c % 8 == 1);
+    e.poke("r", c % 8 == 5);
+    e.poke("x", (c * 37) % 256 / (c % 3 + 1));
+  });
+  EXPECT_FALSE(m.has_value()) << m->describe();
+}
+
 }  // namespace
 }  // namespace essent
